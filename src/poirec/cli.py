@@ -93,6 +93,17 @@ def config_echo(cfg: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts such as --k: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {value}")
+    return value
+
+
 def _eval_ks(cfg: dict) -> list[int]:
     return [int(part) for part in str(cfg["eval_ks"]).split(",") if part.strip()]
 
@@ -188,7 +199,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         print(entry.line())
 
     tensors = dict(params.tensors)
-    tensors[AUX_CANDIDATES] = model.candidate_embeddings(params, inputs.corpus_candidates)
+    tensors[AUX_CANDIDATES] = model.candidate_embeddings(params, inputs.corpus_block)
     ckpt.save_checkpoint(
         args.out, tensors, space.user_vocab, space.business_vocab, config_echo(cfg)
     )
@@ -209,7 +220,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     )
     corpus = _load_corpus_file(args.corpus)
     split = corpus_mod.temporal_split(corpus, cfg["split_ratio"])
-    ks = [int(k) for k in args.k] if args.k else _eval_ks(cfg)
+    ks = args.k or _eval_ks(cfg)
     report = evaluation.evaluate(
         params,
         corpus,
@@ -289,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="compute metrics from a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--k", action="append", type=int)
+    p.add_argument("--k", action="append", type=_positive_int)
     p.add_argument("--mnb", action="store_true")
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_evaluate)
@@ -297,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recommend", help="top-K businesses for a user id")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--user-id", required=True)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=_positive_int, default=10)
     p.set_defaults(func=cmd_recommend)
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients by finite differences")

@@ -180,15 +180,22 @@ def aggregate_candidates(
     business's train review counts (no query-specific review exists when
     serving). Index 0 (OOV) gets empty text.
     """
+    return sum_candidates((encode_candidate(r, space) for r in train_records), space)
+
+
+def sum_candidates(
+    candidates: Iterable[CandidateFeatures], space: FeatureSpace
+) -> list[CandidateFeatures]:
+    """`aggregate_candidates` from reviews already encoded by
+    `encode_candidate`, so no review is hashed again."""
     n = space.num_businesses
     if not space.config.use_text:
         return [CandidateFeatures(business_index=i) for i in range(n)]
     sums: list[dict[int, int]] = [dict() for _ in range(n)]
-    for r in train_records:
-        idx = space.business_vocab.lookup(r.business_id)
-        acc = sums[idx]
-        for bucket, c in text_bucket_counts(r.text, space.config.text_hash_buckets).items():
-            acc[bucket] = acc.get(bucket, 0) + c
+    for c in candidates:
+        acc = sums[c.business_index]
+        for bucket, count in c.text_counts.items():
+            acc[bucket] = acc.get(bucket, 0) + count
     return [
         CandidateFeatures(business_index=i, text_counts=sums[i]) for i in range(n)
     ]

@@ -129,16 +129,27 @@ class QueryBlock:
                 date[i, :] = q.date_features
         return cls(user_idx=user_idx, date=date)
 
+    def __len__(self) -> int:
+        return len(self.user_idx)
+
+    def take(self, idx: np.ndarray) -> "QueryBlock":
+        """Rows `idx` of this block, in that order."""
+        return QueryBlock(user_idx=self.user_idx[idx], date=self.date[idx])
+
 
 @dataclass
 class CandidateBlock:
-    """CSR-style layout of sparse per-candidate text counts."""
+    """CSR-style layout of sparse per-candidate text counts.
+
+    Within a row each bucket appears at most once. Text pooling is the
+    fixed linear operator `pooling_matrix`, built once per block.
+    """
 
     business_idx: np.ndarray  # [m] int
     indptr: np.ndarray  # [m+1] int
     buckets: np.ndarray  # [nnz] int
     counts: np.ndarray  # [nnz] float64
-    totals: np.ndarray  # [m] float64 (0 where no text)
+    _pooling: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_features(cls, candidates: Sequence[CandidateFeatures]) -> "CandidateBlock":
@@ -148,28 +159,40 @@ class CandidateBlock:
         )
         indptr = np.zeros(m + 1, dtype=np.int64)
         buckets: list[int] = []
-        counts: list[float] = []
+        counts: list[int] = []
         for i, c in enumerate(candidates):
             if c.text_counts:
-                for b, v in c.text_counts.items():
-                    buckets.append(b)
-                    counts.append(float(v))
+                buckets.extend(c.text_counts)
+                counts.extend(c.text_counts.values())
             indptr[i + 1] = len(buckets)
-        bucket_arr = np.asarray(buckets, dtype=np.int64)
-        count_arr = np.asarray(counts, dtype=np.float64)
-        rows = np.repeat(np.arange(m), np.diff(indptr))
-        totals = np.zeros(m, dtype=np.float64)
-        np.add.at(totals, rows, count_arr)
         return cls(
             business_idx=business_idx,
             indptr=indptr,
-            buckets=bucket_arr,
-            counts=count_arr,
-            totals=totals,
+            buckets=np.asarray(buckets, dtype=np.int64),
+            counts=np.asarray(counts, dtype=np.float64),
         )
 
     def __len__(self) -> int:
         return len(self.business_idx)
+
+    def pooling_matrix(self, num_buckets: int, dtype) -> np.ndarray:
+        """Dense row-normalised P[m, num_buckets] (count / row total; a row
+        without text is all zero), so pooled text is P @ text_table.
+
+        Built on first use and kept for the block's lifetime: m *
+        num_buckets entries of `dtype`.
+        """
+        key = (num_buckets, np.dtype(dtype))
+        pool = self._pooling.get(key)
+        if pool is None:
+            m = len(self)
+            rows = np.repeat(np.arange(m), np.diff(self.indptr))
+            totals = np.bincount(rows, weights=self.counts, minlength=m)
+            totals[totals == 0] = 1.0  # a row of zero counts pools to zero
+            pool = np.zeros((m, num_buckets), dtype=dtype)
+            pool[rows, self.buckets] = self.counts / totals[rows]
+            self._pooling[key] = pool
+        return pool
 
 
 @dataclass
@@ -204,18 +227,10 @@ def forward_users(params: ModelParams, block: QueryBlock) -> TowerCache:
 
 def pooled_text(params: ModelParams, block: CandidateBlock) -> np.ndarray:
     """Count-weighted mean of text-bucket embeddings, zero where no text."""
-    m = len(block)
-    k = params.k
-    pooled = np.zeros((m, k), dtype=params.dtype)
     if not params.use_text or block.buckets.size == 0:
-        return pooled
+        return np.zeros((len(block), params.k), dtype=params.dtype)
     table = params.tensors["text_table"]
-    weighted = table[block.buckets] * block.counts[:, None].astype(params.dtype)
-    rows = np.repeat(np.arange(m), np.diff(block.indptr))
-    np.add.at(pooled, rows, weighted)
-    nonzero = block.totals > 0
-    pooled[nonzero] /= block.totals[nonzero, None].astype(params.dtype)
-    return pooled
+    return block.pooling_matrix(table.shape[0], params.dtype) @ table
 
 
 def forward_candidates(params: ModelParams, block: CandidateBlock) -> TowerCache:

@@ -23,6 +23,7 @@ from .features import (
     aggregate_candidates,
     encode_candidate,
     encode_query,
+    sum_candidates,
 )
 from .corpus import InteractionRecord
 from .model import (
@@ -80,12 +81,13 @@ class Batch:
     pair_candidates[i] is the candidate the i-th query actually interacted
     with (used by the rating path); softmax_candidates is the denominator
     set, with true_indices[i] locating query i's true candidate inside it.
+    Queries and the softmax set are feature objects or an already built block.
     """
 
-    queries: Sequence[QueryFeatures]
+    queries: Sequence[QueryFeatures] | QueryBlock
     pair_candidates: Sequence[CandidateFeatures]
     labels: np.ndarray
-    softmax_candidates: Sequence[CandidateFeatures]
+    softmax_candidates: Sequence[CandidateFeatures] | CandidateBlock
     true_indices: np.ndarray
 
     def __post_init__(self):
@@ -121,6 +123,8 @@ class Batch:
 
     @cached_property
     def query_block(self) -> QueryBlock:
+        if isinstance(self.queries, QueryBlock):
+            return self.queries
         return QueryBlock.from_features(self.queries)
 
     @cached_property
@@ -131,6 +135,8 @@ class Batch:
     def softmax_block(self) -> CandidateBlock:
         if self.softmax_candidates is self.pair_candidates:
             return self.pair_block
+        if isinstance(self.softmax_candidates, CandidateBlock):
+            return self.softmax_candidates
         return CandidateBlock.from_features(self.softmax_candidates)
 
 
@@ -235,10 +241,8 @@ def _candidate_backward(
     d_x = _tower_backward(params, "business_tower", cache, d_v, grads)
     np.add.at(grads["business_table"], block.business_idx, d_x[:, :k])
     if params.use_text and block.buckets.size:
-        d_pooled = d_x[:, k:]
-        rows = np.repeat(np.arange(len(block)), np.diff(block.indptr))
-        scale = (block.counts / block.totals[rows]).astype(params.dtype)
-        np.add.at(grads["text_table"], block.buckets, d_pooled[rows] * scale[:, None])
+        text_grad = grads["text_table"]
+        text_grad += block.pooling_matrix(text_grad.shape[0], params.dtype).T @ d_x[:, k:]
 
 
 def loss_and_gradients(
@@ -508,12 +512,22 @@ class EpochTrace:
 
 @dataclass
 class TrainInputs:
-    """Pre-encoded train examples plus the corpus candidate set."""
+    """The train partition encoded once: row i of `queries`, `candidates`
+    and `labels` is train review i (each review hashed once), and
+    `corpus_candidates` sums those candidates per business as
+    `aggregate_candidates` does.
+    """
 
-    queries: list[QueryFeatures]
+    queries: QueryBlock
     candidates: list[CandidateFeatures]
     labels: np.ndarray
     corpus_candidates: list[CandidateFeatures]
+
+    @cached_property
+    def corpus_block(self) -> CandidateBlock:
+        """The corpus candidate block, built on first use and shared by
+        every full-corpus batch and the checkpoint's candidate embeddings."""
+        return CandidateBlock.from_features(self.corpus_candidates)
 
     @classmethod
     def from_records(
@@ -525,11 +539,12 @@ class TrainInputs:
         labels = np.array([float(r.stars) for r in records], dtype=np.float64)
         if label_scale == "normalized":
             labels = (labels - 1.0) / 4.0
+        candidates = [encode_candidate(r, space) for r in records]
         return cls(
-            queries=[encode_query(r, space) for r in records],
-            candidates=[encode_candidate(r, space) for r in records],
+            queries=QueryBlock.from_features([encode_query(r, space) for r in records]),
+            candidates=candidates,
             labels=labels,
-            corpus_candidates=aggregate_candidates(records, space),
+            corpus_candidates=sum_candidates(candidates, space),
         )
 
 
@@ -538,11 +553,11 @@ def _iter_batches(
 ) -> Iterable[Batch]:
     for start in range(0, len(order), config.batch_size):
         idx = order[start : start + config.batch_size]
-        queries = [inputs.queries[i] for i in idx]
+        queries = inputs.queries.take(idx)
         cands = [inputs.candidates[i] for i in idx]
         labels = inputs.labels[idx]
         if config.softmax_mode == "full_corpus":
-            yield Batch.full_corpus(queries, cands, labels, inputs.corpus_candidates)
+            yield Batch.full_corpus(queries, cands, labels, inputs.corpus_block)
         else:
             yield Batch.in_batch(queries, cands, labels)
 

@@ -295,3 +295,22 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("k", ["0", "-1", "ten"])
+    @pytest.mark.parametrize("command", ["recommend", "evaluate"])
+    def test_k_must_be_positive(self, command, k, checkpoint_file, corpus_file, tmp_path,
+                                capsys):
+        argv = {
+            "recommend": ["recommend", "--checkpoint", str(checkpoint_file),
+                          "--user-id", "u0", "--k", k],
+            "evaluate": ["evaluate", "--checkpoint", str(checkpoint_file),
+                         "--corpus", str(corpus_file), "--report", str(tmp_path / "r.txt"),
+                         "--k", k],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--k" in captured.err and "Traceback" not in captured.err
+        assert not (tmp_path / "r.txt").exists()

@@ -13,6 +13,7 @@ from poirec.model import (
     forward_users,
     init_params,
     location_encode,
+    pooled_text,
     score,
     score_all,
     user_encode,
@@ -233,3 +234,41 @@ class TestScore:
         c = CandidateFeatures(4, {0: 3, 15: 1})
         assert np.isfinite(score(q, c, params, task="rating"))
         assert np.isfinite(score(q, c, params, task="retrieval"))
+
+
+class TestPoolingOperator:
+    """Text pooling is P @ text_table and its gradient P^T @ d, with P the
+    block's fixed row-normalised pooling matrix."""
+
+    FEATURES = [
+        CandidateFeatures(0),  # the OOV row: no text
+        CandidateFeatures(3, {1: 2, 9: 1, 15: 4}),
+        CandidateFeatures(2, {}),  # a business whose reviews had no tokens
+        CandidateFeatures(4, {9: 3}),
+        CandidateFeatures(1, {0: 1, 15: 1}),
+        CandidateFeatures(2, {4: 0}),  # counts that sum to zero pool to zero
+    ]
+
+    def test_matches_per_row_loops_in_float64(self):
+        params = tiny_params(seed=11, dtype=np.float64)
+        table = params.tensors["text_table"]
+        block = CandidateBlock.from_features(self.FEATURES)
+        d = np.random.default_rng(0).normal(size=(len(block), params.k))
+        want_pooled = np.zeros((len(block), params.k))
+        want_grad = np.zeros_like(table)
+        for i, c in enumerate(self.FEATURES):
+            counts = c.text_counts or {}
+            total = sum(counts.values()) or 1
+            for bucket, count in counts.items():
+                want_pooled[i] += count * table[bucket] / total
+                want_grad[bucket] += count * d[i] / total
+        pool = block.pooling_matrix(table.shape[0], np.float64)
+        np.testing.assert_allclose(pooled_text(params, block), want_pooled, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pool.T @ d, want_grad, rtol=0, atol=1e-12)
+        assert not pool[0].any() and not pool[2].any() and not pool[5].any()
+
+    def test_built_once_per_block_and_dtype(self):
+        block = CandidateBlock.from_features(self.FEATURES)
+        first = block.pooling_matrix(16, np.float32)
+        assert block.pooling_matrix(16, np.float32) is first
+        assert first.shape == (len(self.FEATURES), 16) and first.dtype == np.float32

@@ -1,12 +1,23 @@
 """Losses, manual gradients, Adagrad, and the training loops."""
 
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from poirec.features import CandidateFeatures, FeatureConfig, FeatureSpace, QueryFeatures
-from poirec.model import init_params
+from poirec import features, training
+from poirec.features import (
+    CandidateFeatures,
+    FeatureConfig,
+    FeatureSpace,
+    QueryFeatures,
+    aggregate_candidates,
+    encode_candidate,
+    encode_query,
+)
+from poirec.model import CandidateBlock, init_params
 from poirec.training import (
     RETRIEVAL_HEAD_TENSORS,
     AdagradState,
@@ -19,6 +30,7 @@ from poirec.training import (
     finite_difference_check,
     gradients,
     joint_loss,
+    loss_and_gradients,
     rating_loss,
     reference_gradcheck,
     retrieval_log_prob,
@@ -26,6 +38,7 @@ from poirec.training import (
     train,
     two_phase_train,
     _build_tiny_setup,
+    _iter_batches,
 )
 from _synth import latent_factor_corpus
 from poirec.corpus import temporal_split
@@ -212,6 +225,22 @@ def small_inputs(seed=0, n=120):
     return TrainInputs.from_records(records, space), space
 
 
+def texted_records(use_text=True):
+    """Train records whose reviews have 0-6 tokens each (some empty), with
+    a feature space of 64 text buckets."""
+    corpus = latent_factor_corpus(n_users=20, n_businesses=12, n_events=120, seed=4)
+    split = temporal_split(corpus, 0.9)
+    rng = np.random.default_rng(4)
+    words = ("good", "bad", "tasty", "slow", "cozy", "loud", "fresh", "stale", "warm")
+    records = [
+        replace(corpus.records[i], text=" ".join(rng.choice(words, size=rng.integers(0, 7))))
+        for i in split.train
+    ]
+    space = FeatureSpace.build(records, FeatureConfig(use_text=use_text, use_date=True,
+                                                     text_hash_buckets=64))
+    return records, space
+
+
 class TestTrainLoop:
     def test_determinism_bit_identical(self):
         inputs, space = small_inputs()
@@ -281,3 +310,97 @@ class TestTrainLoop:
 
         e = EpochTrace(epoch=3, rating_loss=1.5, retrieval_loss=2.25, joint_loss=1.875)
         assert e.line() == "epoch 3 rating 1.500000 retrieval 2.250000 joint 1.875000"
+
+
+class TestCompiledInputs:
+    """The train partition is encoded once and the corpus block is shared."""
+
+    def test_corpus_candidates_sum_each_business_reviews(self):
+        records, space = texted_records()
+        want = [Counter() for _ in range(space.num_businesses)]
+        for r in records:
+            want[space.business_vocab.lookup(r.business_id)].update(
+                features.text_bucket_counts(r.text, 64))
+        inputs = TrainInputs.from_records(records, space)
+        assert [c.business_index for c in inputs.corpus_candidates] \
+            == list(range(space.num_businesses))
+        assert [dict(c.text_counts) for c in inputs.corpus_candidates] == [dict(w) for w in want]
+        assert inputs.corpus_candidates == aggregate_candidates(records, space)
+
+    def test_each_train_review_hashed_once(self, monkeypatch):
+        records, space = texted_records()
+        hashed = []
+        real = features.text_bucket_counts
+
+        def counting(text, buckets):
+            hashed.append(text)
+            return real(text, buckets)
+
+        monkeypatch.setattr(features, "text_bucket_counts", counting)
+        TrainInputs.from_records(records, space)
+        assert len(hashed) == len(records)
+
+    def test_full_corpus_train_builds_the_corpus_block_once(self, monkeypatch):
+        records, space = texted_records()
+        inputs = TrainInputs.from_records(records, space)
+        corpus_builds = []
+        build = CandidateBlock.from_features.__func__
+
+        def counting_build(cls, candidates):
+            if candidates is inputs.corpus_candidates:
+                corpus_builds.append(len(candidates))
+            return build(cls, candidates)
+
+        softmax_blocks = []
+        step = training.loss_and_gradients
+
+        def recording(batch, *args, **kwargs):
+            softmax_blocks.append(batch.softmax_block)
+            return step(batch, *args, **kwargs)
+
+        monkeypatch.setattr(CandidateBlock, "from_features", classmethod(counting_build))
+        monkeypatch.setattr(training, "loss_and_gradients", recording)
+        train(inputs, space, TrainConfig(batch_size=16, epochs=2, seed=0, embed_dim=4))
+        assert corpus_builds == [space.num_businesses]
+        assert len(softmax_blocks) == 2 * math.ceil(len(records) / 16)
+        assert all(b is inputs.corpus_block for b in softmax_blocks)
+        assert len(inputs.corpus_block._pooling) == 1
+
+    def test_no_text_builds_no_text_arrays(self):
+        records, space = texted_records(use_text=False)
+        inputs = TrainInputs.from_records(records, space)
+        train(inputs, space, TrainConfig(batch_size=16, epochs=1, seed=0, embed_dim=4))
+        assert all(c.text_counts is None for c in inputs.candidates)
+        assert inputs.corpus_block.buckets.size == 0 and not inputs.corpus_block._pooling
+
+    @pytest.mark.parametrize("mode", ["full_corpus", "in_batch"])
+    def test_compiled_batch_matches_feature_batch(self, mode):
+        """Losses and gradients of a training batch (queries sliced from the
+        encoded arrays, the shared corpus block) equal those of the same
+        rows built from feature objects."""
+        records, space = texted_records()
+        inputs = TrainInputs.from_records(records, space)
+        order = np.random.default_rng(3).permutation(len(records))
+        config = TrainConfig(batch_size=24, softmax_mode=mode, embed_dim=4)
+        compiled = next(iter(_iter_batches(inputs, order, config)))
+
+        idx = order[:24]
+        queries = [encode_query(records[i], space) for i in idx]
+        cands = [encode_candidate(records[i], space) for i in idx]
+        labels = inputs.labels[idx]
+        if mode == "full_corpus":
+            built = Batch.full_corpus(queries, cands, labels, aggregate_candidates(records, space))
+        else:
+            built = Batch.in_batch(queries, cands, labels)
+
+        params = init_params(seed=5, num_users=space.num_users,
+                             num_businesses=space.num_businesses, k=4, text_buckets=64,
+                             dtype=np.float64)
+        weights = LossWeights(0.5, 0.5)
+        got = loss_and_gradients(compiled, params, weights)
+        want = loss_and_gradients(built, params, weights)
+        assert got[0] == pytest.approx(want[0], rel=0, abs=1e-12)
+        assert got[1] == pytest.approx(want[1], rel=0, abs=1e-12)
+        assert np.array_equal(compiled.true_indices, built.true_indices)
+        for name, g in want[2].items():
+            np.testing.assert_allclose(got[2][name], g, rtol=0, atol=1e-12, err_msg=name)
