@@ -9,6 +9,7 @@ external config.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -34,33 +35,81 @@ def _parse_bool(value: str) -> bool:
     raise ConfigError(f"not a boolean: {value!r}")
 
 
-# key -> (parser, default)
+def _at_least(lo: int):
+    def check(value: int) -> None:
+        if value < lo:
+            raise ValueError(f"must be at least {lo}: {value}")
+
+    return check
+
+
+def _one_of(*choices: str):
+    def check(value: str) -> None:
+        if value not in choices:
+            raise ValueError(f"must be one of {', '.join(choices)}: {value!r}")
+
+    return check
+
+
+def _finite_positive(value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"must be finite and greater than 0: {value}")
+
+
+def _finite_nonnegative(value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"must be finite and at least 0: {value}")
+
+
+def _open_unit_interval(value: float) -> None:
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"must be strictly between 0 and 1: {value}")
+
+
+def _k_list(text: str) -> list[int]:
+    """A comma list of positive integers, such as `10,50,100`."""
+    ks = [int(part) for part in text.split(",") if part.strip()]
+    if not ks or min(ks) < 1:
+        raise ValueError(f"must be a comma list of integers >= 1: {text!r}")
+    return ks
+
+
+# key -> (parser, default, validator). A validator raises ValueError on a
+# value the parser accepted but the program cannot run with; None accepts
+# every parsed value.
 _CONFIG_SPEC = {
-    "use_text": (_parse_bool, True),
-    "use_date": (_parse_bool, True),
-    "text_hash_buckets": (int, 4096),
-    "embed_dim": (int, 32),
-    "batch_size": (int, 256),
-    "epochs": (int, 20),
-    "seed": (int, 0),
-    "rating_weight": (float, 0.5),
-    "retrieval_weight": (float, 0.5),
-    "schedule": (str, "joint"),
-    "softmax_mode": (str, "full_corpus"),
-    "learning_rate": (float, 1e-3),
-    "epsilon": (float, 1e-7),
-    "split_ratio": (float, 0.9),
-    "eval_ks": (str, "100"),
-    "label_scale": (str, "raw"),
-    "mnb_buckets": (int, 32768),
+    "use_text": (_parse_bool, True, None),
+    "use_date": (_parse_bool, True, None),
+    "text_hash_buckets": (int, 4096, _at_least(2)),
+    "embed_dim": (int, 32, _at_least(1)),
+    "batch_size": (int, 256, _at_least(1)),
+    "epochs": (int, 20, _at_least(1)),
+    "seed": (int, 0, _at_least(0)),
+    "rating_weight": (float, 0.5, _finite_nonnegative),
+    "retrieval_weight": (float, 0.5, _finite_nonnegative),
+    "schedule": (str, "joint", _one_of("joint", "two_phase")),
+    "softmax_mode": (str, "full_corpus", _one_of("full_corpus", "in_batch")),
+    "learning_rate": (float, 1e-3, _finite_positive),
+    "epsilon": (float, 1e-7, _finite_positive),
+    "split_ratio": (float, 0.9, _open_unit_interval),
+    "eval_ks": (str, "100", _k_list),
+    "label_scale": (str, "raw", _one_of("raw", "normalized")),
+    "mnb_buckets": (int, 32768, _at_least(2)),
     # derived at train time, carried in the checkpoint echo
-    "date_min": (int, 0),
-    "date_max": (int, 0),
+    "date_min": (int, 0, None),
+    "date_max": (int, 0, None),
 }
 
 
+def _checked(key: str, value):
+    check = _CONFIG_SPEC[key][2]
+    if check is not None:
+        check(value)
+    return value
+
+
 def parse_config_text(text: str) -> dict:
-    cfg = {key: default for key, (_, default) in _CONFIG_SPEC.items()}
+    cfg = {key: default for key, (_, default, _) in _CONFIG_SPEC.items()}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -72,11 +121,9 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         parser = _CONFIG_SPEC[key][0]
         try:
-            cfg[key] = parser(value)
+            cfg[key] = _checked(key, parser(value))
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
-    if cfg["label_scale"] not in ("raw", "normalized"):
-        raise ConfigError(f"label_scale must be raw or normalized: {cfg['label_scale']!r}")
     return cfg
 
 
@@ -102,10 +149,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1: {value}")
     return value
-
-
-def _eval_ks(cfg: dict) -> list[int]:
-    return [int(part) for part in str(cfg["eval_ks"]).split(",") if part.strip()]
 
 
 def _feature_config(cfg: dict) -> FeatureConfig:
@@ -175,15 +218,22 @@ def cmd_train(args: argparse.Namespace) -> int:
             cfg = parse_config_text(f.read())
     else:
         cfg = parse_config_text("")
-    if args.rating_weight is not None:
-        cfg["rating_weight"] = args.rating_weight
-    if args.retrieval_weight is not None:
-        cfg["retrieval_weight"] = args.retrieval_weight
+    for key in ("rating_weight", "retrieval_weight"):
+        value = getattr(args, key)
+        if value is not None:
+            try:
+                cfg[key] = _checked(key, value)
+            except ValueError as exc:
+                raise ConfigError(f"--{key.replace('_', '-')}: {exc}") from exc
     if args.two_phase:
         cfg["schedule"] = "two_phase"
 
     corpus = _load_corpus_file(args.corpus)
     split = corpus_mod.temporal_split(corpus, cfg["split_ratio"])
+    if not split.train:
+        raise corpus_mod.EmptyCorpus(
+            f"empty train partition: split_ratio {cfg['split_ratio']} of {len(corpus)} records"
+        )
     train_records = [corpus.records[i] for i in split.train]
     space = FeatureSpace.build(train_records, _feature_config(cfg))
     cfg["date_min"], cfg["date_max"] = space.date_min, space.date_max
@@ -220,7 +270,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     )
     corpus = _load_corpus_file(args.corpus)
     split = corpus_mod.temporal_split(corpus, cfg["split_ratio"])
-    ks = args.k or _eval_ks(cfg)
+    ks = args.k or _k_list(cfg["eval_ks"])
     report = evaluation.evaluate(
         params,
         corpus,

@@ -143,6 +143,15 @@ def _require(obj: dict, key: str):
     return obj[key]
 
 
+def _vote_count(votes_obj: dict, key: str) -> int:
+    """A vote count as an int. A bool or a float with a fractional part
+    (or a non-finite one) is out of range rather than truncated."""
+    value = votes_obj.get(key, 0)
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise OutOfRange(f"votes.{key} is not an integer: {value!r}")
+    return int(value)
+
+
 def parse_record(line: str) -> InteractionRecord:
     """Parse one JSON review line into a validated record.
 
@@ -185,7 +194,7 @@ def parse_record(line: str) -> InteractionRecord:
     votes_obj = obj.get("votes", {})
     if not isinstance(votes_obj, dict):
         raise MalformedLine("votes is not an object")
-    votes = tuple(int(votes_obj.get(k, 0)) for k in ("funny", "useful", "cool"))
+    votes = tuple(_vote_count(votes_obj, k) for k in ("funny", "useful", "cool"))
     if any(v < 0 for v in votes):
         raise OutOfRange("negative vote count")
 

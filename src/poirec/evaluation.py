@@ -2,8 +2,9 @@
 and the Multinomial Naive Bayes stars-from-text baseline.
 
 Top-K accuracy scores every test query against the full business corpus
-(brute-force maximum inner product) and counts a hit when the true
-business lands in the K best, ties broken by ascending business index.
+(brute-force maximum inner product) once, counts the candidates ranked
+above each true business, ties broken by ascending business index, and
+reads every K from those ranks.
 """
 
 from __future__ import annotations
@@ -53,10 +54,56 @@ def rmse(pairs: Sequence[tuple[float, float]]) -> float:
     return float(np.sqrt(np.mean((arr[:, 0] - arr[:, 1]) ** 2)))
 
 
+def _true_ranks(scores: np.ndarray, true: np.ndarray) -> np.ndarray:
+    """Position of each row's true column in that row's stable descending
+    sort: #(s > s_true) + #(s == s_true and j < true), so ties go to the
+    lower index, exactly as `np.argsort(-row, kind="stable")` orders them.
+    """
+    if not np.isfinite(scores).all():
+        raise FloatingPointError("non-finite retrieval scores")
+    n, m = scores.shape
+    if true.size and (true.min() < 0 or true.max() >= m):
+        raise ValueError(f"true index out of range for {m} candidates")
+    s_true = scores[np.arange(n), true][:, None]
+    before = (scores == s_true) & (np.arange(m) < true[:, None])
+    return np.count_nonzero(scores > s_true, axis=1) + np.count_nonzero(before, axis=1)
+
+
 def top_k_hits(scores: np.ndarray, true_index: int, k: int) -> bool:
     """Whether true_index is among the k best scores (ties: lower index wins)."""
-    order = np.argsort(-scores, kind="stable")
-    return true_index in order[:k]
+    row = np.asarray(scores)[None, :]
+    return bool(_true_ranks(row, np.array([true_index]))[0] < k)
+
+
+def retrieval_ranks(
+    queries: Sequence[QueryFeatures],
+    true_indices: Sequence[int],
+    candidates: Sequence[CandidateFeatures] | CandidateBlock,
+    params: ModelParams,
+) -> np.ndarray:
+    """0-based rank of each query's true candidate among all candidates.
+
+    One score matrix serves every K: a query hits at K when its rank is
+    below K. Non-finite scores raise FloatingPointError.
+    """
+    if len(queries) == 0:
+        raise EmptyInput("no queries")
+    if len(queries) != len(true_indices):
+        raise LengthMismatch("queries and true indices differ in length")
+    if not isinstance(candidates, CandidateBlock):
+        candidates = CandidateBlock.from_features(candidates)
+    ur = retrieval_project(
+        params, "user", forward_users(params, QueryBlock.from_features(queries)).out
+    )
+    vr = retrieval_project(params, "item", forward_candidates(params, candidates).out)
+    ranks = _true_ranks(ur @ vr.T, np.asarray(true_indices, dtype=np.int64))
+    return ranks.astype(np.int64, copy=False)
+
+
+def _accuracy_at(ranks: np.ndarray, k: int) -> float:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return int((ranks < k).sum()) / len(ranks)
 
 
 def top_k_accuracy(
@@ -67,22 +114,7 @@ def top_k_accuracy(
     k: int,
 ) -> float:
     """Fraction of queries whose true candidate ranks in the top k."""
-    if len(queries) == 0:
-        raise EmptyInput("no queries")
-    if len(queries) != len(true_indices):
-        raise LengthMismatch("queries and true indices differ in length")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not isinstance(candidates, CandidateBlock):
-        candidates = CandidateBlock.from_features(candidates)
-    ur = retrieval_project(
-        params, "user", forward_users(params, QueryBlock.from_features(queries)).out
-    )
-    vr = retrieval_project(params, "item", forward_candidates(params, candidates).out)
-    scores = ur @ vr.T
-    top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-    hits = sum(int(t in row) for t, row in zip(true_indices, top))
-    return hits / len(queries)
+    return _accuracy_at(retrieval_ranks(queries, true_indices, candidates, params), k)
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +365,8 @@ def evaluate(
     corpus_candidates = aggregate_candidates(train_records, space)
     queries = [encode_query(r, space) for r in test_records]
     true_idx = [space.business_vocab.lookup(r.business_id) for r in test_records]
-    block = CandidateBlock.from_features(corpus_candidates)
-    top_k = {int(k): top_k_accuracy(queries, true_idx, block, params, int(k)) for k in ks}
+    ranks = retrieval_ranks(queries, true_idx, corpus_candidates, params)
+    top_k = {int(k): _accuracy_at(ranks, int(k)) for k in ks}
 
     confusion = None
     if mnb:

@@ -11,8 +11,10 @@ shared out-of-vocabulary bucket on each side.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
@@ -90,21 +92,36 @@ def tokenize_text(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def _fnv1a64(token: str) -> int:
+    """FNV-1a 64-bit over UTF-8 bytes. Memoised: a corpus repeats a few
+    thousand distinct tokens hundreds of thousands of times."""
+    h = _FNV_OFFSET
+    for b in token.encode("utf-8"):
+        h = ((h ^ b) * _FNV_PRIME) & _MASK64
+    return h
+
+
 def hash_token(token: str, buckets: int) -> int:
     """FNV-1a 64-bit over UTF-8 bytes, reduced modulo the bucket count."""
     if buckets < 2:
         raise ValueError("buckets must be >= 2")
-    h = _FNV_OFFSET
-    for b in token.encode("utf-8"):
-        h = ((h ^ b) * _FNV_PRIME) & _MASK64
-    return h % buckets
+    return _fnv1a64(token) % buckets
 
 
 def text_bucket_counts(text: str, buckets: int) -> dict[int, int]:
+    """Bucket -> token count, buckets in order of first occurrence.
+
+    Each distinct token is hashed once; walking the distinct tokens in
+    first-appearance order inserts the buckets in the same order as a
+    walk over every token would.
+    """
+    if buckets < 2:
+        raise ValueError("buckets must be >= 2")
     counts: dict[int, int] = {}
-    for token in tokenize_text(text):
-        idx = hash_token(token, buckets)
-        counts[idx] = counts.get(idx, 0) + 1
+    for token, n in Counter(tokenize_text(text)).items():
+        idx = _fnv1a64(token) % buckets
+        counts[idx] = counts.get(idx, 0) + n
     return counts
 
 

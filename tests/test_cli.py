@@ -1,6 +1,9 @@
 """End-to-end command line flows plus the checkpoint container format."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from poirec.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from poirec.cli import ConfigError, main, parse_config_text
+from poirec.cli import _CONFIG_SPEC, ConfigError, main, parse_config_text
 from poirec.corpus import serialize_record
 from poirec.features import Vocabulary
 from _synth import latent_factor_corpus
@@ -132,6 +135,64 @@ class TestConfigParsing:
             parse_config_text("epochs = soon\n")
 
 
+# One bad value per validated key; each must stop `train` before any work.
+BAD_CONFIG_VALUES = [
+    ("batch_size", "0"), ("epochs", "0"), ("embed_dim", "0"), ("seed", "-1"),
+    ("text_hash_buckets", "1"), ("mnb_buckets", "1"),
+    ("schedule", "foo"), ("softmax_mode", "sampled"), ("label_scale", "log"),
+    ("learning_rate", "-5"), ("learning_rate", "0"), ("learning_rate", "nan"),
+    ("epsilon", "0"), ("epsilon", "inf"),
+    ("rating_weight", "-0.5"), ("rating_weight", "nan"), ("retrieval_weight", "inf"),
+    ("split_ratio", "1.5"), ("split_ratio", "0"), ("split_ratio", "1"),
+    ("eval_ks", "10,abc"), ("eval_ks", "0"), ("eval_ks", ","),
+]
+
+
+class TestConfigValidation:
+    def test_every_validated_key_has_a_bad_value(self):
+        validated = {key for key, (_, _, check) in _CONFIG_SPEC.items() if check}
+        assert validated == {key for key, _ in BAD_CONFIG_VALUES}
+
+    def test_defaults_pass_their_validators(self):
+        for key, (_, default, check) in _CONFIG_SPEC.items():
+            if check:
+                check(default)
+
+    @pytest.mark.parametrize("key, value", BAD_CONFIG_VALUES)
+    def test_bad_value_is_a_clean_error(self, key, value, corpus_file, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        out = tmp_path / "m.ckpt"
+        rc = main(["train", "--corpus", str(corpus_file), "--config", str(cfg),
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--rating-weight", "-1"),
+                                             ("--retrieval-weight", "nan")])
+    def test_bad_weight_override(self, flag, value, corpus_file, tmp_path, capsys):
+        out = tmp_path / "m.ckpt"
+        rc = main(["train", "--corpus", str(corpus_file), "--out", str(out), flag, value])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag}")
+        assert not out.exists()
+
+    def test_empty_train_partition_refused(self, corpus_file, tmp_path, capsys):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("split_ratio = 0.001\n")  # cut at int(0.15) = 0 of 150
+        out = tmp_path / "m.ckpt"
+        rc = main(["train", "--corpus", str(corpus_file), "--config", str(cfg),
+                   "--out", str(out)])
+        assert rc == 1
+        assert "empty train partition" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_k_list_parses(self):
+        assert parse_config_text("eval_ks = 10, 50,100\n")["eval_ks"] == "10, 50,100"
+
+
 class TestIngest:
     def test_valid_corpus_passes_through(self, tmp_path, corpus_file):
         out = tmp_path / "clean.jsonl"
@@ -244,6 +305,20 @@ class TestEvaluate:
         assert "error:" in capsys.readouterr().err
 
 
+    def test_non_finite_retrieval_head_fails_cleanly(self, checkpoint_file, corpus_file,
+                                                     tmp_path, capsys):
+        tensors, users, businesses, echo = load_checkpoint(checkpoint_file)
+        tensors = dict(tensors)
+        tensors["retrieval_head.user.w"] = tensors["retrieval_head.user.w"].copy()
+        tensors["retrieval_head.user.w"][0, 0] = np.nan
+        broken = tmp_path / "nan.ckpt"
+        save_checkpoint(broken, tensors, users, businesses, echo)
+        rc = main(["evaluate", "--checkpoint", str(broken), "--corpus", str(corpus_file),
+                   "--report", str(tmp_path / "r.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: non-finite")
+
+
 class TestRecommend:
     def test_lists_k_businesses(self, checkpoint_file, corpus_file, capsys):
         user = json.loads(corpus_file.read_text().splitlines()[0])["user_id"]
@@ -314,3 +389,21 @@ class TestExitCodes:
         assert captured.out == ""
         assert "--k" in captured.err and "Traceback" not in captured.err
         assert not (tmp_path / "r.txt").exists()
+
+
+class TestModuleEntryPoint:
+    def run(self, *args):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.run([sys.executable, "-m", "poirec", *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_help_exits_zero(self):
+        proc = self.run("--help")
+        assert proc.returncode == 0
+        assert "recommend" in proc.stdout
+
+    def test_no_subcommand_is_usage_error(self):
+        proc = self.run()
+        assert proc.returncode == 2
+        assert "usage:" in proc.stderr

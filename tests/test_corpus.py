@@ -82,6 +82,23 @@ class TestParseRecord:
         obj["stars"] = 4.0
         assert parse_record(json.dumps(obj)).stars == 4
 
+    @pytest.mark.parametrize("vote", [2.7, -0.5, True, False, "NaN", "Infinity"])
+    def test_non_integral_vote_rejected(self, vote):
+        line = VALID_LINE.replace('"useful":1', f'"useful":{json.dumps(vote)}')
+        if isinstance(vote, str):  # JSON's non-finite number literals
+            line = line.replace(f'"{vote}"', vote)
+        with pytest.raises(OutOfRange):
+            parse_record(line)
+
+    def test_integral_float_vote_accepted(self):
+        line = VALID_LINE.replace('"useful":1', '"useful":2.0')
+        assert parse_record(line).votes == (0, 2, 0)
+
+    def test_non_integral_vote_skippable(self):
+        bad = VALID_LINE.replace('"useful":1', '"useful":2.7')
+        corpus = load_corpus([VALID_LINE, bad], skip_malformed=True)
+        assert (len(corpus), corpus.skipped) == (1, 1)
+
     @given(
         stars=st.integers(min_value=1, max_value=5),
         text=st.text(max_size=50),

@@ -7,19 +7,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poirec import evaluation
+from poirec.corpus import temporal_split
 from poirec.evaluation import (
     ConfusionMatrix,
     EmptyInput,
     LengthMismatch,
+    MetricsReport,
     confusion_matrix,
+    evaluate,
     mnb_predict,
     mnb_train,
+    predict_ratings,
+    retrieval_ranks,
     rmse,
     top_k_accuracy,
     top_k_hits,
 )
-from poirec.features import CandidateFeatures, FeatureConfig, FeatureSpace, QueryFeatures
+from poirec.features import (
+    CandidateFeatures,
+    FeatureConfig,
+    FeatureSpace,
+    QueryFeatures,
+    aggregate_candidates,
+    encode_query,
+)
 from poirec.model import init_params, score_all
+from _synth import latent_factor_corpus
 
 
 class TestRmse:
@@ -92,6 +106,96 @@ class TestTopK:
         scores = np.array([0.1, 0.9, 0.3])
         assert top_k_hits(scores, 1, 1)
         assert not top_k_hits(scores, 0, 1)
+
+
+def _stable_argsort_rank(row: np.ndarray, true_index: int) -> int:
+    return int(np.flatnonzero(np.argsort(-row, kind="stable") == true_index)[0])
+
+
+@st.composite
+def _tied_scores(draw):
+    """Small integer-valued score matrices, so ties are common, with true
+    indices that always include 0 (the out-of-vocabulary candidate)."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 8))
+    scores = np.array(
+        draw(st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m),
+                      min_size=n, max_size=n)),
+        dtype=np.float64,
+    )
+    true = [0] + draw(st.lists(st.integers(0, m - 1), min_size=n - 1, max_size=n - 1))
+    return scores, true
+
+
+class TestRetrievalRanks:
+    @given(_tied_scores())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_stable_argsort_oracle(self, case):
+        scores, true = case
+        n, m = scores.shape
+        queries = [QueryFeatures(0)] * n
+        cands = [CandidateFeatures(j) for j in range(m)]
+        params = init_params(seed=0, num_users=2, num_businesses=m, k=2,
+                             use_text=False, use_date=False, dtype=np.float64)
+        # Replace the two projections so that ur @ vr.T is `scores` exactly.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluation, "retrieval_project",
+                       lambda p, side, out: scores if side == "user" else np.eye(m))
+            ranks = retrieval_ranks(queries, true, cands, params)
+            want = [_stable_argsort_rank(row, t) for row, t in zip(scores, true)]
+            assert ranks.dtype == np.int64
+            assert ranks.tolist() == want
+            for k in range(1, m + 1):
+                hits = [r < k for r in want]
+                assert top_k_accuracy(queries, true, cands, params, k) == sum(hits) / n
+                assert [top_k_hits(row, t, k) for row, t in zip(scores, true)] == hits
+
+    def test_non_finite_scores_raise(self):
+        with pytest.raises(FloatingPointError):
+            top_k_hits(np.array([1.0, np.nan, 0.0]), 0, 1)
+
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            retrieval_ranks([QueryFeatures(0)], [0, 1], [CandidateFeatures(0)], None)
+
+
+class TestEvaluateRanksOnce:
+    KS = (10, 50, 100)
+
+    def setup_method(self):
+        self.corpus = latent_factor_corpus(n_users=40, n_businesses=150, n_events=600, seed=5)
+        self.split = temporal_split(self.corpus, 0.8)
+        self.train = [self.corpus.records[i] for i in self.split.train]
+        self.test = [self.corpus.records[i] for i in self.split.test]
+        self.space = FeatureSpace.build(self.train, FeatureConfig(text_hash_buckets=64))
+        self.params = init_params(seed=2, num_users=self.space.num_users,
+                                  num_businesses=self.space.num_businesses, k=4,
+                                  text_buckets=64)
+
+    def test_two_user_forwards_and_per_k_report(self, monkeypatch):
+        calls = []
+        forward_users = evaluation.forward_users
+        monkeypatch.setattr(evaluation, "forward_users",
+                            lambda *a: calls.append(1) or forward_users(*a))
+        report = evaluate(self.params, self.corpus, self.split, self.space, ks=self.KS)
+        assert len(calls) == 2  # one for the ratings, one for every K
+        monkeypatch.undo()
+
+        queries = [encode_query(r, self.space) for r in self.test]
+        true = [self.space.business_vocab.lookup(r.business_id) for r in self.test]
+        cands = aggregate_candidates(self.train, self.space)
+        per_k = MetricsReport(
+            rmse=rmse(predict_ratings(self.params, self.test, self.space)),
+            top_k={k: top_k_accuracy(queries, true, cands, self.params, k) for k in self.KS},
+            example_count=len(self.test),
+        )
+        assert len(set(per_k.top_k.values())) == len(self.KS)
+        assert report.text() == per_k.text()
+
+    def test_nan_in_retrieval_head_raises(self):
+        self.params.tensors["retrieval_head.item.w"][0, 0] = np.nan
+        with pytest.raises(FloatingPointError):
+            evaluate(self.params, self.corpus, self.split, self.space, ks=self.KS)
 
 
 class TestConfusion:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poirec import features
 from poirec.corpus import InteractionRecord, days_from_date
 from poirec.features import (
     FeatureConfig,
@@ -98,6 +99,36 @@ class TestHashToken:
     def test_reference_agrees_everywhere(self, token, buckets):
         expected = _fnv1a_64_reference(token.encode("utf-8")) % buckets
         assert hash_token(token, buckets) == expected
+
+
+def _per_token_counts(text: str, buckets: int) -> dict[int, int]:
+    """The per-token `hash_token` loop, on the uncached reference hash."""
+    counts: dict[int, int] = {}
+    for token in tokenize_text(text):
+        idx = _fnv1a_64_reference(token.encode("utf-8")) % buckets
+        counts[idx] = counts.get(idx, 0) + 1
+    return counts
+
+
+class TestTextBucketCounts:
+    @given(st.text(max_size=200), st.integers(2, 5000))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_per_token_loop_cold_and_warm(self, text, buckets):
+        want = list(_per_token_counts(text, buckets).items())
+        features._fnv1a64.cache_clear()
+        assert list(text_bucket_counts(text, buckets).items()) == want
+        assert list(text_bucket_counts(text, buckets).items()) == want
+
+    def test_insertion_order_follows_first_occurrence(self):
+        # "b" comes first, and its bucket must come first, even though "a"
+        # occurs more often
+        assert list(text_bucket_counts("b a a a", 1 << 20)) == [
+            hash_token("b", 1 << 20), hash_token("a", 1 << 20)]
+
+    @pytest.mark.parametrize("text", ["", "some words"])
+    def test_buckets_checked_for_every_text(self, text):
+        with pytest.raises(ValueError):
+            text_bucket_counts(text, 1)
 
 
 class TestEncodeDate:
