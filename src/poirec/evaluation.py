@@ -20,10 +20,9 @@ from .features import (
     CandidateFeatures,
     FeatureSpace,
     QueryFeatures,
-    aggregate_candidates,
-    encode_candidate,
+    TextCSR,
     encode_query,
-    text_bucket_counts,
+    encode_texts,
 )
 from .model import (
     CandidateBlock,
@@ -225,44 +224,93 @@ class MnbModel:
         return self.log_likelihood.shape[1]
 
 
+def mnb_fit(
+    stars: Sequence[int],
+    indptr: np.ndarray,
+    buckets: np.ndarray,
+    counts: np.ndarray,
+    vocab_size: int,
+    alpha: float = 1.0,
+) -> MnbModel:
+    """Fit per-class priors and Laplace-smoothed token-bucket likelihoods.
+
+    Document d has star class stars[d] and the (bucket, count) entries
+    indptr[d]:indptr[d+1] over a hashed vocabulary of vocab_size buckets.
+    """
+    if len(stars) == 0:
+        raise EmptyInput("no training documents")
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    if buckets.size and (buckets.min() < 0 or buckets.max() >= vocab_size):
+        raise ValueError(f"bucket outside a vocabulary of {vocab_size}")
+    classes, doc_class = np.unique(np.asarray(stars, dtype=np.int64), return_inverse=True)
+    n_classes = len(classes)
+    doc_counts = np.bincount(doc_class, minlength=n_classes).astype(np.float64)
+    entry_class = np.repeat(doc_class, np.diff(indptr))
+    token_counts = np.bincount(
+        entry_class * vocab_size + buckets, weights=counts, minlength=n_classes * vocab_size
+    ).reshape(n_classes, vocab_size)
+    log_prior = np.log(doc_counts / doc_counts.sum())
+    totals = token_counts.sum(axis=1, keepdims=True)
+    log_likelihood = np.log((token_counts + alpha) / (totals + alpha * vocab_size))
+    return MnbModel(classes=classes.tolist(), log_prior=log_prior, log_likelihood=log_likelihood)
+
+
+def mnb_classify(
+    model: MnbModel,
+    indptr: np.ndarray,
+    buckets: np.ndarray,
+    counts: np.ndarray,
+    rows: np.ndarray,
+) -> np.ndarray:
+    """Most probable star class of each document in `rows` (CSR as in
+    `mnb_fit`); ties resolve to the lowest class.
+
+    A document's score adds c * log_likelihood[:, b] to the log prior one
+    entry at a time, in the document's entry order, so every document sums
+    in the same order however many are scored together.
+    """
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    scores = np.tile(model.log_prior, (len(rows), 1))
+    by_bucket = model.log_likelihood.T
+    for j in range(int(lengths.max(initial=0))):
+        live = np.flatnonzero(lengths > j)
+        at = starts[live] + j
+        scores[live] += counts[at, None] * by_bucket[buckets[at]]
+    return np.asarray(model.classes)[np.argmax(scores, axis=1)]
+
+
+def _documents_csr(
+    documents: Sequence[Mapping[int, int]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    lengths = [len(d) for d in documents]
+    indptr = np.zeros(len(documents) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    buckets = np.fromiter((b for d in documents for b in d), dtype=np.int64, count=indptr[-1])
+    counts = np.fromiter((c for d in documents for c in d.values()), dtype=np.int64, count=indptr[-1])
+    return indptr, buckets, counts
+
+
 def mnb_train(
     documents: Sequence[tuple[Mapping[int, int], int]],
     alpha: float = 1.0,
     vocab_size: Optional[int] = None,
 ) -> MnbModel:
-    """Fit per-class priors and Laplace-smoothed token-bucket likelihoods.
-
-    documents: (bucket -> count, star class) pairs over a hashed vocabulary.
-    """
+    """`mnb_fit` on (bucket -> count, star class) pairs; vocab_size
+    defaults to 1 + the largest bucket seen."""
     if len(documents) == 0:
         raise EmptyInput("no training documents")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    indptr, buckets, counts = _documents_csr([d for d, _ in documents])
     if vocab_size is None:
-        vocab_size = 1 + max(
-            (b for counts, _ in documents for b in counts), default=0
-        )
-    classes = sorted({star for _, star in documents})
-    class_pos = {c: i for i, c in enumerate(classes)}
-    doc_counts = np.zeros(len(classes))
-    token_counts = np.zeros((len(classes), vocab_size))
-    for counts, star in documents:
-        i = class_pos[star]
-        doc_counts[i] += 1
-        for bucket, c in counts.items():
-            token_counts[i, bucket] += c
-    log_prior = np.log(doc_counts / doc_counts.sum())
-    totals = token_counts.sum(axis=1, keepdims=True)
-    log_likelihood = np.log((token_counts + alpha) / (totals + alpha * vocab_size))
-    return MnbModel(classes=classes, log_prior=log_prior, log_likelihood=log_likelihood)
+        vocab_size = 1 + int(buckets.max(initial=0))
+    return mnb_fit([s for _, s in documents], indptr, buckets, counts, vocab_size, alpha)
 
 
 def mnb_predict(model: MnbModel, counts: Mapping[int, int]) -> int:
-    """Most probable star class; ties resolve to the lowest class."""
-    scores = model.log_prior.copy()
-    for bucket, c in counts.items():
-        scores += c * model.log_likelihood[:, bucket]
-    return model.classes[int(np.argmax(scores))]
+    """Most probable star class of one bucket -> count document."""
+    csr = _documents_csr([counts])
+    return int(mnb_classify(model, *csr, np.zeros(1, dtype=np.int64))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +370,22 @@ def predict_ratings(
     records: Sequence[InteractionRecord],
     space: FeatureSpace,
     label_scale: str = "raw",
+    text: Optional[TextCSR] = None,
 ) -> list[tuple[float, float]]:
-    """(predicted, actual) rating pairs for a list of records."""
+    """(predicted, actual) rating pairs for a list of records.
+
+    `text` is `encode_texts` of the records' texts; when it is omitted and
+    text features are on, the texts are encoded here.
+    """
+    if not space.config.use_text:
+        text = None
+    elif text is None:
+        text = encode_texts(r.text for r in records)
     queries = [encode_query(r, space) for r in records]
-    cands = [encode_candidate(r, space) for r in records]
+    business_idx = [space.business_vocab.lookup(r.business_id) for r in records]
+    block = CandidateBlock.from_text(business_idx, text, space.config.text_hash_buckets)
     u = forward_users(params, QueryBlock.from_features(queries)).out
-    v = forward_candidates(params, CandidateBlock.from_features(cands)).out
+    v = forward_candidates(params, block).out
     preds = rating_predict(params, u, v)
     labels = np.array([float(r.stars) for r in records])
     if label_scale == "normalized":
@@ -359,29 +417,45 @@ def evaluate(
         raise EmptyInput("empty test partition")
     train_records = [corpus.records[i] for i in split.train]
 
-    pairs = predict_ratings(params, test_records, space, label_scale)
+    use_text = space.config.use_text
+    train_text = test_text = None
+    if use_text or mnb:
+        train_text = encode_texts(r.text for r in train_records)
+        test_text = encode_texts(r.text for r in test_records)
+
+    pairs = predict_ratings(params, test_records, space, label_scale, test_text)
     error = rmse(pairs)
 
-    corpus_candidates = aggregate_candidates(train_records, space)
+    lookup = space.business_vocab.lookup
+    corpus_block = CandidateBlock.from_text(
+        np.arange(space.num_businesses),
+        train_text if use_text else None,
+        space.config.text_hash_buckets,
+        row_of=np.fromiter((lookup(r.business_id) for r in train_records), dtype=np.int64,
+                           count=len(train_records)),
+    )
     queries = [encode_query(r, space) for r in test_records]
-    true_idx = [space.business_vocab.lookup(r.business_id) for r in test_records]
-    ranks = retrieval_ranks(queries, true_idx, corpus_candidates, params)
+    true_idx = [lookup(r.business_id) for r in test_records]
+    ranks = retrieval_ranks(queries, true_idx, corpus_block, params)
     top_k = {int(k): _accuracy_at(ranks, int(k)) for k in ks}
 
     confusion = None
     if mnb:
-        train_docs = [
-            (text_bucket_counts(r.text, mnb_buckets), r.stars) for r in train_records
-        ]
-        model = mnb_train(train_docs)
+        train_buckets = train_text.buckets(mnb_buckets)
+        model = mnb_fit(
+            [r.stars for r in train_records],
+            train_text.indptr,
+            train_buckets,
+            train_text.counts,
+            vocab_size=1 + int(train_buckets.max(initial=0)),
+        )
         rng = np.random.default_rng(seed)
         n = len(test_records)
-        sample_idx = rng.choice(n, size=min(mnb_sample, n), replace=False)
-        sample = [test_records[i] for i in sorted(sample_idx)]
-        predicted = [
-            mnb_predict(model, text_bucket_counts(r.text, mnb_buckets)) for r in sample
-        ]
-        confusion = confusion_matrix([r.stars for r in sample], predicted)
+        sample_idx = np.sort(rng.choice(n, size=min(mnb_sample, n), replace=False))
+        predicted = mnb_classify(model, *test_text.bucket_rows(mnb_buckets), sample_idx)
+        confusion = confusion_matrix(
+            [test_records[i].stars for i in sample_idx], predicted.tolist()
+        )
 
     return MetricsReport(
         rmse=error,

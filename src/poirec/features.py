@@ -5,6 +5,10 @@ normalized position in the corpus date range and the sin/cos of the month
 angle. Candidate features carry the business index plus (optionally) a
 sparse bucket->count multiset of hashed review tokens.
 
+`encode_texts` tokenizes a list of reviews once into arrays (`TextCSR`);
+any bucket space is then an exact modulus of one FNV-1a-64 value per
+distinct token (the hashing trick, Weinberger et al. 2009).
+
 Vocabularies are built from the train partition only; index 0 is the
 shared out-of-vocabulary bucket on each side.
 """
@@ -14,9 +18,12 @@ from __future__ import annotations
 import functools
 import math
 import re
+from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
+
+import numpy as np
 
 from .corpus import InteractionRecord, month_of_days
 
@@ -123,6 +130,87 @@ def text_bucket_counts(text: str, buckets: int) -> dict[int, int]:
         idx = _fnv1a64(token) % buckets
         counts[idx] = counts.get(idx, 0) + n
     return counts
+
+
+@dataclass(frozen=True)
+class TextCSR:
+    """Reviews tokenized once. Row r lists review r's distinct tokens in
+    order of first appearance (`token_ids`, indices into `h64`) with their
+    counts; `h64` holds the FNV-1a-64 value of each distinct token.
+    """
+
+    indptr: np.ndarray  # [reviews + 1] int32
+    token_ids: np.ndarray  # [nnz] int32
+    counts: np.ndarray  # [nnz] int32
+    h64: np.ndarray  # [distinct tokens] uint64
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def buckets(self, buckets: int) -> np.ndarray:
+        """Bucket of every entry, `hash_token(token, buckets)`, as int64."""
+        if buckets < 2:
+            raise ValueError("buckets must be >= 2")
+        return (self.h64 % np.uint64(buckets)).astype(np.int64)[self.token_ids]
+
+    def bucket_rows(
+        self,
+        buckets: int,
+        row_of: Optional[np.ndarray] = None,
+        num_rows: Optional[int] = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Hashed bag-of-words rows as CSR (indptr, buckets, counts), int64.
+
+        Row i merges review i, or every review r with row_of[r] == i:
+        equal buckets sum their counts, and a row's buckets keep their
+        order of first appearance, reviews taken in order. Review r's row
+        is `text_bucket_counts(text_r, buckets)`; a row per business sums
+        that business's reviews as `aggregate_candidates` does.
+        """
+        rows = np.repeat(np.arange(len(self), dtype=np.int64), np.diff(self.indptr))
+        if row_of is not None:
+            rows = np.asarray(row_of, dtype=np.int64)[rows]
+        if num_rows is None:
+            num_rows = len(self)
+        keys, first, inverse = np.unique(
+            rows * buckets + self.buckets(buckets), return_index=True, return_inverse=True
+        )
+        sums = np.bincount(inverse, weights=self.counts, minlength=len(keys)).astype(np.int64)
+        key_rows = keys // buckets
+        order = np.lexsort((first, key_rows))
+        indptr = np.zeros(num_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key_rows, minlength=num_rows), out=indptr[1:])
+        return indptr, (keys % buckets)[order], sums[order]
+
+
+class _TokenIndex(dict):
+    """token -> dense id, numbering unseen tokens in order of first lookup."""
+
+    def __missing__(self, token: str) -> int:
+        index = self[token] = len(self)
+        return index
+
+
+def encode_texts(texts: Iterable[str]) -> TextCSR:
+    """Tokenize each text once and hash each distinct token once.
+
+    Rows are int32 arrays, not token strings, so a corpus's encoding stays
+    small however many reviews it holds.
+    """
+    token_index = _TokenIndex()
+    token_ids, counts, indptr = array("i"), array("i"), array("i", [0])
+    for text in texts:
+        row = Counter(tokenize_text(text))
+        token_ids.extend(map(token_index.__getitem__, row))
+        counts.extend(row.values())
+        indptr.append(len(token_ids))
+    h64 = np.fromiter(map(_fnv1a64, token_index), dtype=np.uint64, count=len(token_index))
+    return TextCSR(
+        indptr=np.array(indptr, dtype=np.int32),
+        token_ids=np.array(token_ids, dtype=np.int32),
+        counts=np.array(counts, dtype=np.int32),
+        h64=h64,
+    )
 
 
 def encode_date(date_days: int, corpus_min: int, corpus_max: int) -> tuple[float, float, float]:

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .features import CandidateFeatures, QueryFeatures
+from .features import CandidateFeatures, QueryFeatures, TextCSR
 
 DATE_DIM = 3
 
@@ -171,6 +171,27 @@ class CandidateBlock:
             buckets=np.asarray(buckets, dtype=np.int64),
             counts=np.asarray(counts, dtype=np.float64),
         )
+
+    @classmethod
+    def from_text(
+        cls,
+        business_idx: np.ndarray,
+        text: Optional[TextCSR],
+        num_buckets: int,
+        row_of: Optional[np.ndarray] = None,
+    ) -> "CandidateBlock":
+        """Row i is business business_idx[i] with the hashed text of review
+        i or, given row_of, of every review r with row_of[r] == i (see
+        `TextCSR.bucket_rows`); no text when `text` is None."""
+        business_idx = np.asarray(business_idx, dtype=np.int64)
+        m = len(business_idx)
+        if text is None:
+            return cls(business_idx, np.zeros(m + 1, dtype=np.int64),
+                       np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
+        if row_of is None and len(text) != m:
+            raise ValueError(f"{len(text)} reviews for {m} candidates")
+        indptr, buckets, counts = text.bucket_rows(num_buckets, row_of, m)
+        return cls(business_idx, indptr, buckets, counts.astype(np.float64))
 
     def __len__(self) -> int:
         return len(self.business_idx)

@@ -1,14 +1,15 @@
 """RMSE, top-K retrieval accuracy, confusion statistics, and the MNB baseline."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poirec import evaluation
-from poirec.corpus import temporal_split
+from poirec import evaluation, features
+from poirec.corpus import Corpus, temporal_split
 from poirec.evaluation import (
     ConfusionMatrix,
     EmptyInput,
@@ -30,9 +31,19 @@ from poirec.features import (
     FeatureSpace,
     QueryFeatures,
     aggregate_candidates,
+    encode_candidate,
     encode_query,
+    text_bucket_counts,
 )
-from poirec.model import init_params, score_all
+from poirec.model import (
+    CandidateBlock,
+    QueryBlock,
+    forward_candidates,
+    forward_users,
+    init_params,
+    rating_predict,
+    score_all,
+)
 from _synth import latent_factor_corpus
 
 
@@ -157,6 +168,88 @@ class TestRetrievalRanks:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             retrieval_ranks([QueryFeatures(0)], [0, 1], [CandidateFeatures(0)], None)
+
+
+def reviewed_corpus(seed=6):
+    """A latent-factor corpus whose reviews have 0-12 tokens each."""
+    corpus = latent_factor_corpus(n_users=30, n_businesses=40, n_events=300, seed=seed)
+    rng = np.random.default_rng(seed)
+    words = ("good", "bad", "tasty", "slow", "cozy", "loud", "fresh", "stale", "warm", "Meh!")
+    return Corpus(records=tuple(
+        replace(r, text=" ".join(rng.choice(words, size=rng.integers(0, 13))))
+        for r in corpus.records
+    ))
+
+
+class TestEvaluateEncodesText:
+    """`evaluate` tokenizes each review once, and only when it needs text."""
+
+    MNB_BUCKETS = 256
+
+    def setup(self, use_text):
+        self.corpus = reviewed_corpus()
+        self.split = temporal_split(self.corpus, 0.8)
+        self.train = [self.corpus.records[i] for i in self.split.train]
+        self.test = [self.corpus.records[i] for i in self.split.test]
+        self.space = FeatureSpace.build(
+            self.train, FeatureConfig(use_text=use_text, text_hash_buckets=16))
+        self.params = init_params(seed=3, num_users=self.space.num_users,
+                                  num_businesses=self.space.num_businesses, k=4,
+                                  use_text=use_text, text_buckets=16)
+
+    def evaluate(self, mnb):
+        return evaluate(self.params, self.corpus, self.split, self.space, ks=(5, 20),
+                        mnb=mnb, mnb_buckets=self.MNB_BUCKETS, mnb_sample=40, seed=9)
+
+    def counted(self, monkeypatch):
+        calls = {"tokenize_text": [], "text_bucket_counts": []}
+        for name, log in calls.items():
+            real = getattr(features, name)
+            monkeypatch.setattr(features, name,
+                                lambda *a, real=real, log=log: log.append(a) or real(*a))
+        return calls
+
+    @pytest.mark.parametrize("use_text", [True, False])
+    def test_mnb_tokenizes_each_review_once(self, use_text, monkeypatch):
+        self.setup(use_text)
+        calls = self.counted(monkeypatch)
+        self.evaluate(mnb=True)
+        assert sorted(calls["tokenize_text"]) == sorted((r.text,) for r in self.corpus.records)
+        assert calls["text_bucket_counts"] == []
+
+    def test_without_text_or_mnb_tokenizes_nothing(self, monkeypatch):
+        self.setup(use_text=False)
+        calls = self.counted(monkeypatch)
+        self.evaluate(mnb=False)
+        assert calls == {"tokenize_text": [], "text_bucket_counts": []}
+
+    def test_report_equals_per_review_oracles(self):
+        """The report from the per-review dict paths: `encode_candidate`
+        blocks, `aggregate_candidates`, `mnb_train` and `mnb_predict`."""
+        self.setup(use_text=True)
+        report = self.evaluate(mnb=True)
+
+        queries = [encode_query(r, self.space) for r in self.test]
+        true = [self.space.business_vocab.lookup(r.business_id) for r in self.test]
+        ranks = retrieval_ranks(queries, true, aggregate_candidates(self.train, self.space),
+                                self.params)
+        docs = [(text_bucket_counts(r.text, self.MNB_BUCKETS), r.stars) for r in self.train]
+        model = mnb_train(docs)
+        rng = np.random.default_rng(9)
+        sample = [self.test[i] for i in sorted(rng.choice(len(self.test), 40, replace=False))]
+        predicted = [mnb_predict(model, text_bucket_counts(r.text, self.MNB_BUCKETS))
+                     for r in sample]
+        cands = CandidateBlock.from_features([encode_candidate(r, self.space) for r in self.test])
+        u = forward_users(self.params, QueryBlock.from_features(queries)).out
+        v = forward_candidates(self.params, cands).out
+        stars = [r.stars for r in self.test]
+        want = MetricsReport(
+            rmse=rmse(list(zip(rating_predict(self.params, u, v), stars))),
+            top_k={k: float(np.mean(ranks < k)) for k in (5, 20)},
+            example_count=len(self.test),
+            confusion=confusion_matrix([r.stars for r in sample], predicted),
+        )
+        assert report.text() == want.text()
 
 
 class TestEvaluateRanksOnce:

@@ -17,6 +17,7 @@ from poirec.features import (
     encode_candidate,
     encode_date,
     encode_query,
+    encode_texts,
     hash_token,
     text_bucket_counts,
     tokenize_text,
@@ -129,6 +130,45 @@ class TestTextBucketCounts:
     def test_buckets_checked_for_every_text(self, text):
         with pytest.raises(ValueError):
             text_bucket_counts(text, 1)
+
+
+def _csr_rows(indptr, buckets, counts):
+    return [list(zip(buckets[s:e].tolist(), counts[s:e].tolist()))
+            for s, e in zip(indptr[:-1], indptr[1:])]
+
+
+class TestEncodeTexts:
+    """`encode_texts` rows against the `text_bucket_counts` oracle."""
+
+    @given(st.lists(st.text(max_size=80), max_size=8), st.integers(2, 5000))
+    @settings(max_examples=150, deadline=None)
+    def test_each_row_is_text_bucket_counts(self, texts, buckets):
+        got = _csr_rows(*encode_texts(texts).bucket_rows(buckets))
+        assert got == [list(text_bucket_counts(t, buckets).items()) for t in texts]
+
+    @given(st.lists(st.tuples(st.text(max_size=40), st.integers(0, 3)), max_size=10),
+           st.integers(2, 64))
+    @settings(max_examples=150, deadline=None)
+    def test_merged_rows_sum_their_reviews_in_order(self, reviews, buckets):
+        want = [{} for _ in range(4)]
+        for text, row in reviews:
+            for bucket, count in text_bucket_counts(text, buckets).items():
+                want[row][bucket] = want[row].get(bucket, 0) + count
+        encoded = encode_texts(t for t, _ in reviews)
+        got = encoded.bucket_rows(buckets, row_of=[r for _, r in reviews], num_rows=4)
+        assert _csr_rows(*got) == [list(w.items()) for w in want]
+
+    def test_each_distinct_token_hashed_once(self):
+        encoded = encode_texts(["b a a", "", "a c b"])
+        assert encoded.indptr.tolist() == [0, 2, 2, 5]
+        assert encoded.token_ids.tolist() == [0, 1, 1, 2, 0]
+        assert encoded.counts.tolist() == [1, 2, 1, 1, 1]
+        assert encoded.h64.tolist() == [hash_token(t, 1 << 64) for t in "bac"]
+        assert encoded.buckets(7).tolist() == [hash_token(t, 7) for t in "baacb"]
+
+    def test_buckets_checked(self):
+        with pytest.raises(ValueError):
+            encode_texts(["a"]).buckets(1)
 
 
 class TestEncodeDate:

@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from poirec.features import CandidateFeatures, QueryFeatures
+from poirec.corpus import InteractionRecord
+from poirec.features import (
+    CandidateFeatures,
+    FeatureConfig,
+    FeatureSpace,
+    QueryFeatures,
+    aggregate_candidates,
+    encode_candidate,
+    encode_texts,
+)
 from poirec.model import (
     DATE_DIM,
     CandidateBlock,
@@ -272,3 +281,54 @@ class TestPoolingOperator:
         first = block.pooling_matrix(16, np.float32)
         assert block.pooling_matrix(16, np.float32) is first
         assert first.shape == (len(self.FEATURES), 16) and first.dtype == np.float32
+
+
+class TestBlocksFromText:
+    """Blocks built from `encode_texts` arrays equal, bit for bit, the
+    blocks built from per-review feature objects."""
+
+    BUCKETS = 8  # fewer buckets than words, so tokens collide
+
+    def setup_method(self):
+        rng = np.random.default_rng(3)
+        words = ("good", "bad", "Tasty!", "slow", "cozy", "loud", "fresh", "stale", "warm")
+        self.records = [
+            InteractionRecord(
+                user_id=f"u{i % 5}", business_id=f"b{rng.integers(0, 7 if i < 30 else 9)}", stars=3,
+                text=" ".join(rng.choice(words, size=rng.integers(0, 9))), date_days=0,
+            )
+            for i in range(40)
+        ]
+        # b7 and b8 appear only after record 30: they map to the OOV index 0.
+        self.space = FeatureSpace.build(self.records[:30], FeatureConfig(text_hash_buckets=self.BUCKETS))
+        self.index = [self.space.business_vocab.lookup(r.business_id) for r in self.records]
+        self.text = encode_texts(r.text for r in self.records)
+
+    def assert_same(self, got, want):
+        for name in ("business_idx", "indptr", "buckets", "counts"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        for dtype in (np.float32, np.float64):
+            assert got.pooling_matrix(self.BUCKETS, dtype).tobytes() \
+                == want.pooling_matrix(self.BUCKETS, dtype).tobytes()
+
+    def test_corpus_block_equals_aggregate_candidates(self):
+        assert 0 in self.index
+        got = CandidateBlock.from_text(np.arange(self.space.num_businesses), self.text,
+                                       self.BUCKETS, row_of=self.index)
+        want = CandidateBlock.from_features(aggregate_candidates(self.records, self.space))
+        self.assert_same(got, want)
+
+    def test_review_block_equals_encode_candidate(self):
+        got = CandidateBlock.from_text(self.index, self.text, self.BUCKETS)
+        want = CandidateBlock.from_features([encode_candidate(r, self.space) for r in self.records])
+        self.assert_same(got, want)
+
+    def test_no_text(self):
+        got = CandidateBlock.from_text(self.index, None, self.BUCKETS)
+        want = CandidateBlock.from_features([CandidateFeatures(i) for i in self.index])
+        self.assert_same(got, want)
+
+    def test_one_review_per_row(self):
+        with pytest.raises(ValueError):
+            CandidateBlock.from_text(self.index[:-1], self.text, self.BUCKETS)
