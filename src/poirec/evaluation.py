@@ -441,13 +441,14 @@ def evaluate(
 
     confusion = None
     if mnb:
-        train_buckets = train_text.buckets(mnb_buckets)
+        # The hashed vocabulary is the whole bucket space, so a test review
+        # may hold buckets no train review has.
         model = mnb_fit(
             [r.stars for r in train_records],
             train_text.indptr,
-            train_buckets,
+            train_text.buckets(mnb_buckets),
             train_text.counts,
-            vocab_size=1 + int(train_buckets.max(initial=0)),
+            vocab_size=mnb_buckets,
         )
         rng = np.random.default_rng(seed)
         n = len(test_records)

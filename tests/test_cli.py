@@ -15,8 +15,8 @@ from poirec.checkpoint import (
     save_checkpoint,
 )
 from poirec.cli import _CONFIG_SPEC, ConfigError, main, parse_config_text
-from poirec.corpus import serialize_record
-from poirec.features import Vocabulary
+from poirec.corpus import InteractionRecord, days_from_date, serialize_record
+from poirec.features import Vocabulary, hash_token
 from _synth import latent_factor_corpus
 
 
@@ -294,6 +294,31 @@ class TestEvaluate:
                      "--mnb"]) == 0
         assert "confusion." in with_mnb.read_text()
         assert "confusion." not in without.read_text()
+
+    def test_mnb_test_only_bucket_above_every_train_bucket(self, tmp_path):
+        """The MNB vocabulary is all mnb_buckets buckets, not those seen in
+        training: a test review whose bucket no train review reaches."""
+        words = sorted((f"w{i}" for i in range(40)), key=lambda w: hash_token(w, 64))
+        low, high = words[:8], words[-1]
+        assert hash_token(high, 64) > max(hash_token(w, 64) for w in low)
+        base = days_from_date("2016-01-01")
+        records = [
+            InteractionRecord(user_id=f"u{i % 4}", business_id=f"b{i % 3}", stars=1 + i % 5,
+                              text=" ".join(low[i % 8: i % 8 + 3] + ([high] if i >= 36 else [])),
+                              date_days=base + i)
+            for i in range(40)
+        ]
+        corpus = tmp_path / "reviews.jsonl"
+        corpus.write_text("".join(serialize_record(r) + "\n" for r in records))
+        config = tmp_path / "train.cfg"
+        config.write_text("embed_dim = 4\nepochs = 1\nmnb_buckets = 64\nsplit_ratio = 0.9\n")
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["train", "--corpus", str(corpus), "--config", str(config),
+                     "--out", str(ckpt)]) == 0
+        report = tmp_path / "report.txt"
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                     "--report", str(report), "--mnb"]) == 0
+        assert "confusion.micro.support=4" in report.read_text()
 
     def test_corrupt_checkpoint_fails_cleanly(self, checkpoint_file, corpus_file,
                                               tmp_path, capsys):

@@ -234,7 +234,7 @@ class TestEvaluateEncodesText:
         ranks = retrieval_ranks(queries, true, aggregate_candidates(self.train, self.space),
                                 self.params)
         docs = [(text_bucket_counts(r.text, self.MNB_BUCKETS), r.stars) for r in self.train]
-        model = mnb_train(docs)
+        model = mnb_train(docs, vocab_size=self.MNB_BUCKETS)
         rng = np.random.default_rng(9)
         sample = [self.test[i] for i in sorted(rng.choice(len(self.test), 40, replace=False))]
         predicted = [mnb_predict(model, text_bucket_counts(r.text, self.MNB_BUCKETS))
