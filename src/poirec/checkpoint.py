@@ -12,12 +12,16 @@ Layout (all integers little-endian unsigned 32-bit unless noted):
             name, u32 rank, u32 dims, float32 values row-major
 
 Round-trips are bit-exact; any version or structural mismatch is a hard
-error.
+error. A load reads the file once and checks every declared count and
+length against the bytes left, so a truncated or corrupted file (a bad
+length, an id that is not UTF-8 or appears twice) raises a
+`CheckpointError`, never another exception.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import struct
 from typing import BinaryIO
 
@@ -50,19 +54,59 @@ def _write_bytes(f: BinaryIO, data: bytes) -> None:
     f.write(data)
 
 
-def _read_exact(f: BinaryIO, n: int) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise CorruptFile(f"truncated file: wanted {n} bytes, got {len(data)}")
-    return data
+_U32 = struct.Struct("<I")
 
 
-def _read_u32(f: BinaryIO) -> int:
-    return struct.unpack("<I", _read_exact(f, 4))[0]
+class _Reader:
+    """Bounds-checked reads over a whole checkpoint file: every declared
+    length and count is checked against the bytes left before it is used."""
 
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
 
-def _read_bytes(f: BinaryIO) -> bytes:
-    return _read_exact(f, _read_u32(f))
+    def left(self) -> int:
+        return len(self.data) - self.pos
+
+    def need(self, n: int, what: str) -> None:
+        if n > self.left():
+            raise CorruptFile(f"truncated file: {what} needs {n} bytes, {self.left()} left")
+
+    def take(self, n: int, what: str) -> bytes:
+        self.need(n, what)
+        self.pos += n
+        return self.data[self.pos - n : self.pos]
+
+    def u32(self, what: str) -> int:
+        self.need(4, what)
+        (value,) = _U32.unpack_from(self.data, self.pos)
+        self.pos += 4
+        return value
+
+    def texts(self, count: int, what: str) -> list[str]:
+        """`count` strings, each a u32 byte length and UTF-8 bytes. The
+        loop of a load that runs once per vocabulary entry, kept tight."""
+        data, pos, unpack = self.data, self.pos, _U32.unpack_from
+        out = []
+        try:
+            for _ in range(count):
+                (n,) = unpack(data, pos)
+                pos += 4 + n
+                out.append(data[pos - n : pos].decode("utf-8"))
+        except struct.error:
+            raise CorruptFile(f"truncated file: {what}") from None
+        except UnicodeDecodeError as exc:
+            raise CorruptFile(f"{what} is not UTF-8: {exc}") from None
+        if pos > len(data):
+            raise CorruptFile(f"truncated file: {what}")
+        self.pos = pos
+        return out
+
+    def count(self, min_bytes_each: int, what: str) -> int:
+        """A declared item count, each item taking at least min_bytes_each."""
+        n = self.u32(what)
+        self.need(n * min_bytes_each, f"{n} x {what}")
+        return n
 
 
 def save_checkpoint(
@@ -96,31 +140,39 @@ def load_checkpoint(
     path: str,
 ) -> tuple[dict[str, np.ndarray], Vocabulary, Vocabulary, str]:
     with open(path, "rb") as f:
-        magic = f.read(len(MAGIC))
-        if magic != MAGIC:
-            raise CorruptFile(f"bad magic: {magic!r}")
-        version = _read_exact(f, 1)[0]
-        if version != VERSION:
-            raise VersionMismatch(f"format version {version}, expected {VERSION}")
-        config_text = _read_bytes(f).decode("utf-8")
-        vocabs = []
-        for _ in range(2):
-            count = _read_u32(f)
-            if count < 1:
-                raise CorruptFile("vocabulary without OOV entry")
-            ids = [_read_bytes(f).decode("utf-8") for _ in range(count)]
-            if ids[0] != "":
-                raise CorruptFile("vocabulary index 0 is not the OOV sentinel")
+        r = _Reader(f.read())
+    magic = r.data[: len(MAGIC)]
+    if magic != MAGIC:
+        raise CorruptFile(f"bad magic: {magic!r}")
+    r.pos = len(MAGIC)
+    version = r.take(1, "version")[0]
+    if version != VERSION:
+        raise VersionMismatch(f"format version {version}, expected {VERSION}")
+    (config_text,) = r.texts(1, "config")
+    vocabs = []
+    for side in ("user", "business"):
+        count = r.count(4, f"{side} vocabulary entry")
+        if count < 1:
+            raise CorruptFile("vocabulary without OOV entry")
+        ids = r.texts(count, f"{side} vocabulary id")
+        if ids[0] != "":
+            raise CorruptFile("vocabulary index 0 is not the OOV sentinel")
+        try:
             vocabs.append(Vocabulary(ids[1:]))
-        tensors: dict[str, np.ndarray] = {}
-        for _ in range(_read_u32(f)):
-            name = _read_bytes(f).decode("utf-8")
-            rank = _read_u32(f)
-            shape = tuple(_read_u32(f) for _ in range(rank))
-            n_values = int(np.prod(shape)) if shape else 1
-            data = _read_exact(f, 4 * n_values)
-            tensors[name] = np.frombuffer(data, dtype="<f4").reshape(shape).copy()
-        trailing = f.read(1)
-        if trailing:
-            raise CorruptFile("trailing bytes after tensor section")
+        except ValueError as exc:
+            raise CorruptFile(f"{side} vocabulary: {exc}") from None
+    tensors: dict[str, np.ndarray] = {}
+    for _ in range(r.count(8, "tensor")):
+        (name,) = r.texts(1, "tensor name")
+        if name in tensors:
+            raise CorruptFile(f"duplicate tensor {name!r}")
+        shape = tuple(r.u32(f"{name} dims") for _ in range(r.count(4, f"{name} dim")))
+        n_values = math.prod(shape)
+        r.need(4 * n_values, f"tensor {name}")
+        tensors[name] = np.frombuffer(
+            r.data, dtype="<f4", count=n_values, offset=r.pos
+        ).reshape(shape).copy()
+        r.pos += 4 * n_values
+    if r.left():
+        raise CorruptFile("trailing bytes after tensor section")
     return tensors, vocabs[0], vocabs[1], config_text

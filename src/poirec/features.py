@@ -38,13 +38,11 @@ class Vocabulary:
     """Ordered id -> dense index map with index 0 reserved for OOV."""
 
     def __init__(self, ids: Iterable[str] = ()):  # ids in index order, 1..V-1
-        self.ids: list[str] = [""]
-        self._index: dict[str, int] = {}
-        for ident in ids:
-            if ident in self._index:
-                raise ValueError(f"duplicate id {ident!r}")
-            self._index[ident] = len(self.ids)
-            self.ids.append(ident)
+        self.ids: list[str] = ["", *ids]
+        self._index: dict[str, int] = dict(zip(self.ids[1:], range(1, len(self.ids))))
+        if len(self._index) != len(self.ids) - 1:
+            seen = Counter(self.ids[1:])
+            raise ValueError(f"duplicate id {next(i for i, n in seen.items() if n > 1)!r}")
 
     def __len__(self) -> int:
         return len(self.ids)

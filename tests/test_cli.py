@@ -7,8 +7,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poirec.checkpoint import (
+    CheckpointError,
     CorruptFile,
     VersionMismatch,
     load_checkpoint,
@@ -113,6 +116,40 @@ class TestCheckpointFormat:
         path.write_bytes(bytes(data))
         with pytest.raises(VersionMismatch):
             load_checkpoint(path)
+
+
+    @pytest.mark.parametrize("old, new", [(b"b2", b"b1"), (b"u1", b"\xff1")],
+                             ids=["duplicate-id", "invalid-utf8-id"])
+    def test_bad_vocabulary_id_is_a_clean_error(self, old, new, tmp_path, capsys):
+        path = tmp_path / "c.ckpt"
+        self.make(path)
+        data = path.read_bytes()
+        assert data.count(old) == 1
+        path.write_bytes(data.replace(old, new))
+        with pytest.raises(CorruptFile):
+            load_checkpoint(path)
+        assert main(["recommend", "--checkpoint", str(path), "--user-id", "u1"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_flips_and_truncations_load_or_raise(self, checkpoint_file, tmp_path_factory, data):
+        """Any flipped byte or truncation either loads or raises a
+        CheckpointError; nothing else escapes. Half the flips land in the
+        first 1 KiB, where the config, vocabularies and tensor headers are."""
+        raw = bytearray(checkpoint_file.read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+        else:
+            pos = data.draw(st.one_of(st.integers(0, 1023), st.integers(0, len(raw) - 1)),
+                            label="position")
+            raw[pos] ^= data.draw(st.integers(1, 255), label="mask")
+        path = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
+        path.write_bytes(bytes(raw))
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass
 
 
 class TestConfigParsing:
