@@ -5,6 +5,14 @@ Top-K accuracy scores every test query against the full business corpus
 (brute-force maximum inner product) once, counts the candidates ranked
 above each true business, ties broken by ascending business index, and
 reads every K from those ranks.
+
+`evaluate` tokenizes each train and test review once, with
+`features.encode_texts`, and only when text features or the baseline need
+it. From those arrays come the test reviews' candidate block, the corpus
+block (one row per business, its train reviews' bucket counts summed) and
+the baseline's counts, which it fits with `np.bincount` over all
+`mnb_buckets` buckets. `mnb_train` and `mnb_predict`, which take
+bucket -> count dicts, are thin adapters over `mnb_fit` and `mnb_classify`.
 """
 
 from __future__ import annotations
