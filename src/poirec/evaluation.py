@@ -435,16 +435,19 @@ def evaluate(
     error = rmse(pairs)
 
     lookup = space.business_vocab.lookup
-    corpus_block = CandidateBlock.from_text(
-        np.arange(space.num_businesses),
-        train_text if use_text else None,
-        space.config.text_hash_buckets,
-        row_of=np.fromiter((lookup(r.business_id) for r in train_records), dtype=np.int64,
-                           count=len(train_records)),
-    )
     queries = [encode_query(r, space) for r in test_records]
     true_idx = [lookup(r.business_id) for r in test_records]
-    ranks = retrieval_ranks(queries, true_idx, corpus_block, params)
+    ranks = retrieval_ranks(
+        queries,
+        true_idx,
+        CandidateBlock.from_text(
+            np.arange(space.num_businesses),
+            train_text if use_text else None,
+            space.config.text_hash_buckets,
+            row_of=[lookup(r.business_id) for r in train_records],
+        ),
+        params,
+    )
     top_k = {int(k): _accuracy_at(ranks, int(k)) for k in ks}
 
     confusion = None

@@ -21,7 +21,7 @@ import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -154,7 +154,7 @@ class TextCSR:
     def bucket_rows(
         self,
         buckets: int,
-        row_of: Optional[np.ndarray] = None,
+        row_of: Optional[Sequence[int]] = None,
         num_rows: Optional[int] = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Hashed bag-of-words rows as CSR (indptr, buckets, counts), int64.

@@ -175,10 +175,10 @@ class CandidateBlock:
     @classmethod
     def from_text(
         cls,
-        business_idx: np.ndarray,
+        business_idx: Sequence[int],
         text: Optional[TextCSR],
         num_buckets: int,
-        row_of: Optional[np.ndarray] = None,
+        row_of: Optional[Sequence[int]] = None,
     ) -> "CandidateBlock":
         """Row i is business business_idx[i] with the hashed text of review
         i or, given row_of, of every review r with row_of[r] == i (see
