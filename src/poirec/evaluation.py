@@ -431,23 +431,24 @@ def evaluate(
         train_text = encode_texts(r.text for r in train_records)
         test_text = encode_texts(r.text for r in test_records)
 
+    # Peak memory depends on this order. The corpus block's arrays are built
+    # before any pooling matrix, so the corpus block's matrix, built while
+    # ranking, can reuse the memory of the test block's, freed after
+    # predict_ratings; `del` frees it before the MNB fit.
+    lookup = space.business_vocab.lookup
+    corpus_block = CandidateBlock.from_text(
+        np.arange(space.num_businesses),
+        train_text if use_text else None,
+        space.config.text_hash_buckets,
+        row_of=[lookup(r.business_id) for r in train_records],
+    )
     pairs = predict_ratings(params, test_records, space, label_scale, test_text)
     error = rmse(pairs)
 
-    lookup = space.business_vocab.lookup
     queries = [encode_query(r, space) for r in test_records]
     true_idx = [lookup(r.business_id) for r in test_records]
-    ranks = retrieval_ranks(
-        queries,
-        true_idx,
-        CandidateBlock.from_text(
-            np.arange(space.num_businesses),
-            train_text if use_text else None,
-            space.config.text_hash_buckets,
-            row_of=[lookup(r.business_id) for r in train_records],
-        ),
-        params,
-    )
+    ranks = retrieval_ranks(queries, true_idx, corpus_block, params)
+    del corpus_block
     top_k = {int(k): _accuracy_at(ranks, int(k)) for k in ks}
 
     confusion = None
