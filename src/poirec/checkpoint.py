@@ -31,6 +31,7 @@ from .features import Vocabulary
 
 MAGIC = b"POITWR"
 VERSION = 1
+MAX_RANK = 32  # the most dimensions every supported numpy gives an array
 
 
 class CheckpointError(Exception):
@@ -166,7 +167,10 @@ def load_checkpoint(
         (name,) = r.texts(1, "tensor name")
         if name in tensors:
             raise CorruptFile(f"duplicate tensor {name!r}")
-        shape = tuple(r.u32(f"{name} dims") for _ in range(r.count(4, f"{name} dim")))
+        rank = r.count(4, f"{name} dim")
+        if rank > MAX_RANK:
+            raise CorruptFile(f"tensor {name!r} has rank {rank}, above {MAX_RANK}")
+        shape = tuple(r.u32(f"{name} dims") for _ in range(rank))
         n_values = math.prod(shape)
         r.need(4 * n_values, f"tensor {name}")
         tensors[name] = np.frombuffer(

@@ -182,17 +182,28 @@ AUX_CANDIDATES = "aux.candidate_embeddings"
 
 
 def _params_from_checkpoint(
-    tensors: dict[str, np.ndarray], cfg: dict
-) -> tuple[model.ModelParams, dict[str, np.ndarray]]:
-    aux = {n: t for n, t in tensors.items() if n.startswith("aux.")}
-    core = {n: t for n, t in tensors.items() if not n.startswith("aux.")}
-    params = model.ModelParams(
-        k=cfg["embed_dim"],
-        use_text=cfg["use_text"],
-        use_date=cfg["use_date"],
-        tensors=core,
+    tensors: dict[str, np.ndarray], cfg: dict, num_users: int, num_businesses: int
+) -> tuple[model.ModelParams, np.ndarray]:
+    """The model and the precomputed candidate embeddings. Every tensor's
+    name and shape must be the ones the config echo and the vocabulary
+    sizes give, or the file is corrupt."""
+    k = cfg["embed_dim"]
+    want = model.param_shapes(
+        num_users, num_businesses, k, cfg["use_text"], cfg["text_hash_buckets"]
     )
-    return params, aux
+    want[AUX_CANDIDATES] = (num_businesses, k)
+    for name in sorted(want.keys() | tensors.keys()):
+        got = tensors[name].shape if name in tensors else "missing"
+        need = want.get(name, "none")
+        if got != need:
+            raise ckpt.CorruptFile(
+                f"tensor {name}: {got} in the file, {need} from the config echo and vocabularies"
+            )
+    core = {n: t for n, t in tensors.items() if n != AUX_CANDIDATES}
+    params = model.ModelParams(
+        k=k, use_text=cfg["use_text"], use_date=cfg["use_date"], tensors=core
+    )
+    return params, tensors[AUX_CANDIDATES]
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +271,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     tensors, user_vocab, business_vocab, echo = ckpt.load_checkpoint(args.checkpoint)
     cfg = parse_config_text(echo)
-    params, _ = _params_from_checkpoint(tensors, cfg)
+    params, _ = _params_from_checkpoint(tensors, cfg, len(user_vocab), len(business_vocab))
     space = FeatureSpace(
         user_vocab=user_vocab,
         business_vocab=business_vocab,
@@ -295,10 +306,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_recommend(args: argparse.Namespace) -> int:
     tensors, user_vocab, business_vocab, echo = ckpt.load_checkpoint(args.checkpoint)
     cfg = parse_config_text(echo)
-    params, aux = _params_from_checkpoint(tensors, cfg)
-    if AUX_CANDIDATES not in aux:
-        raise ckpt.CorruptFile("checkpoint lacks precomputed candidate embeddings")
-    cand_emb = aux[AUX_CANDIDATES]
+    params, cand_emb = _params_from_checkpoint(tensors, cfg, len(user_vocab), len(business_vocab))
     if args.user_id not in user_vocab:
         print(f"error: unknown user id {args.user_id!r}", file=sys.stderr)
         return 1

@@ -144,10 +144,15 @@ def _require(obj: dict, key: str):
 
 
 def _vote_count(votes_obj: dict, key: str) -> int:
-    """A vote count as an int. A bool or a float with a fractional part
-    (or a non-finite one) is out of range rather than truncated."""
+    """A vote count as an int. A bool, null, list or object, or a float with
+    a fractional part (or a non-finite one), is out of range rather than
+    truncated or a crash. A string goes through int()."""
     value = votes_obj.get(key, 0)
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float, str))
+        or (isinstance(value, float) and not value.is_integer())
+    ):
         raise OutOfRange(f"votes.{key} is not an integer: {value!r}")
     return int(value)
 

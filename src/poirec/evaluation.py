@@ -36,6 +36,7 @@ from .model import (
     CandidateBlock,
     ModelParams,
     QueryBlock,
+    candidate_embeddings,
     forward_candidates,
     forward_users,
     rating_predict,
@@ -97,12 +98,10 @@ def retrieval_ranks(
         raise EmptyInput("no queries")
     if len(queries) != len(true_indices):
         raise LengthMismatch("queries and true indices differ in length")
-    if not isinstance(candidates, CandidateBlock):
-        candidates = CandidateBlock.from_features(candidates)
     ur = retrieval_project(
         params, "user", forward_users(params, QueryBlock.from_features(queries)).out
     )
-    vr = retrieval_project(params, "item", forward_candidates(params, candidates).out)
+    vr = candidate_embeddings(params, candidates)
     ranks = _true_ranks(ur @ vr.T, np.asarray(true_indices, dtype=np.int64))
     return ranks.astype(np.int64, copy=False)
 

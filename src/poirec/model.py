@@ -43,7 +43,6 @@ class ModelParams:
     use_text: bool
     use_date: bool
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
-    hidden_activation: str = "relu"  # "relu" | "none"
 
     def clone(self) -> "ModelParams":
         return ModelParams(
@@ -51,7 +50,6 @@ class ModelParams:
             use_text=self.use_text,
             use_date=self.use_date,
             tensors={n: t.copy() for n, t in self.tensors.items()},
-            hidden_activation=self.hidden_activation,
         )
 
     def astype(self, dtype) -> "ModelParams":
@@ -60,7 +58,6 @@ class ModelParams:
             use_text=self.use_text,
             use_date=self.use_date,
             tensors={n: t.astype(dtype) for n, t in self.tensors.items()},
-            hidden_activation=self.hidden_activation,
         )
 
     @property
@@ -69,6 +66,27 @@ class ModelParams:
 
     def zeros_like_tensors(self) -> dict[str, np.ndarray]:
         return {n: np.zeros_like(t) for n, t in self.tensors.items()}
+
+
+def param_shapes(
+    num_users: int, num_businesses: int, k: int, use_text: bool, text_buckets: int
+) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every trainable tensor, in initialization order."""
+    shapes = {"user_table": (num_users, k), "business_table": (num_businesses, k)}
+    if use_text:
+        shapes["text_table"] = (text_buckets, k)
+    for name, d_in, d_out in (
+        ("user_tower.0", k + DATE_DIM, 2 * k),
+        ("user_tower.1", 2 * k, k),
+        ("business_tower.0", 2 * k, 2 * k),
+        ("business_tower.1", 2 * k, k),
+        ("rating_head", k, 1),
+        ("retrieval_head.user", k, k),
+        ("retrieval_head.item", k, k),
+    ):
+        shapes[f"{name}.w"] = (d_in, d_out)
+        shapes[f"{name}.b"] = (d_out,)
+    return shapes
 
 
 def init_params(
@@ -81,31 +99,18 @@ def init_params(
     text_buckets: int = 4096,
     dtype=np.float32,
 ) -> ModelParams:
-    """Seeded init: weights/embeddings uniform +-1/sqrt(fan_in), biases zero."""
+    """Seeded init: weights/embeddings uniform +-1/sqrt(fan_in), biases zero.
+    An embedding row's fan-in is k, a weight matrix's its input width."""
     if min(num_users, num_businesses, k) < 1:
         raise ValueError("all dimensions must be positive")
     rng = np.random.default_rng(seed)
-
-    def uniform(shape, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-    def dense(name, d_in, d_out, tensors):
-        tensors[f"{name}.w"] = uniform((d_in, d_out), d_in)
-        tensors[f"{name}.b"] = np.zeros(d_out, dtype=dtype)
-
     tensors: dict[str, np.ndarray] = {}
-    tensors["user_table"] = uniform((num_users, k), k)
-    tensors["business_table"] = uniform((num_businesses, k), k)
-    if use_text:
-        tensors["text_table"] = uniform((text_buckets, k), k)
-    dense("user_tower.0", k + DATE_DIM, 2 * k, tensors)
-    dense("user_tower.1", 2 * k, k, tensors)
-    dense("business_tower.0", 2 * k, 2 * k, tensors)
-    dense("business_tower.1", 2 * k, k, tensors)
-    dense("rating_head", k, 1, tensors)
-    dense("retrieval_head.user", k, k, tensors)
-    dense("retrieval_head.item", k, k, tensors)
+    for name, shape in param_shapes(num_users, num_businesses, k, use_text, text_buckets).items():
+        if name.endswith(".b"):
+            tensors[name] = np.zeros(shape, dtype=dtype)
+        else:
+            bound = 1.0 / np.sqrt(k if name.endswith("_table") else shape[0])
+            tensors[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
     return ModelParams(k=k, use_text=use_text, use_date=use_date, tensors=tensors)
 
 
@@ -229,10 +234,7 @@ class TowerCache:
 def _tower_forward(params: ModelParams, prefix: str, x: np.ndarray) -> TowerCache:
     t = params.tensors
     pre1 = x @ t[f"{prefix}.0.w"] + t[f"{prefix}.0.b"]
-    if params.hidden_activation == "relu":
-        h1 = np.maximum(pre1, 0)
-    else:
-        h1 = pre1
+    h1 = np.maximum(pre1, 0)
     out = h1 @ t[f"{prefix}.1.w"] + t[f"{prefix}.1.b"]
     return TowerCache(x=x, pre1=pre1, h1=h1, out=out)
 
@@ -318,11 +320,7 @@ def score_all(
     params: ModelParams,
 ) -> np.ndarray:
     """Retrieval scores of one query against every candidate."""
-    if not isinstance(candidates, CandidateBlock):
-        candidates = CandidateBlock.from_features(candidates)
-    u = user_encode(x, params, task="retrieval")
-    v = retrieval_project(params, "item", forward_candidates(params, candidates).out)
-    return v @ u
+    return candidate_embeddings(params, candidates) @ user_encode(x, params, task="retrieval")
 
 
 def candidate_embeddings(

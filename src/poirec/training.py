@@ -3,8 +3,9 @@
 Rating loss is the mean squared error of the calibrated rating prediction;
 retrieval loss is softmax cross-entropy of the true candidate against a
 candidate set, stabilized by max-subtraction. The joint objective is the
-weighted sum of the two. Gradients are computed by hand-written backprop
-and verified against central finite differences in float64.
+weighted sum of the two. The loss functions and the hand-written backprop
+share one forward per task; gradients are verified against central finite
+differences in float64.
 """
 
 from __future__ import annotations
@@ -91,10 +92,17 @@ class Batch:
     true_indices: np.ndarray
 
     def __post_init__(self):
-        if len(self.queries) == 0:
+        n = len(self.queries)
+        if n == 0:
             raise ValueError("batch must be non-empty")
         self.labels = np.asarray(self.labels, dtype=np.float64)
         self.true_indices = np.asarray(self.true_indices, dtype=np.int64)
+        lengths = (len(self.pair_candidates), self.labels.shape, self.true_indices.shape)
+        if lengths != (n, (n,), (n,)):
+            raise ValueError(
+                f"a batch of {n} queries needs {n} pair candidates, labels and true "
+                f"indices: got {lengths[0]}, {lengths[1]} and {lengths[2]}"
+            )
 
     @classmethod
     def in_batch(cls, queries, pair_candidates, labels) -> "Batch":
@@ -141,21 +149,45 @@ class Batch:
 
 
 # ---------------------------------------------------------------------------
-# Losses.
+# One forward and one backward per task; each forward runs its own towers.
 # ---------------------------------------------------------------------------
 
 
+def _rating_forward(batch: Batch, params: ModelParams) -> tuple[float, tuple]:
+    """Rating MSE and its cache (user tower, pair-candidate tower, float64
+    prediction error)."""
+    q = forward_users(params, batch.query_block)
+    c = forward_candidates(params, batch.pair_block)
+    diff = rating_predict(params, q.out, c.out).astype(np.float64) - batch.labels
+    return float(np.mean(diff**2)), (q, c, diff)
+
+
+def _retrieval_forward(batch: Batch, params: ModelParams) -> tuple[float, tuple]:
+    """Softmax cross-entropy of each true candidate against the softmax set,
+    stabilized by max-subtraction, and its cache (user tower, softmax-set
+    tower, both projections, the shifted exponentials and their row sums)."""
+    q = forward_users(params, batch.query_block)
+    c = forward_candidates(params, batch.softmax_block)
+    ur = retrieval_project(params, "user", q.out)
+    vr = retrieval_project(params, "item", c.out)
+    scores = (ur @ vr.T).astype(np.float64)
+    true = batch.true_indices
+    if true.min() < 0 or true.max() >= scores.shape[1]:
+        raise CandidateMissing("true index outside the candidate set")
+    m = scores.max(axis=1, keepdims=True)
+    exp = np.exp(scores - m)
+    z = exp.sum(axis=1, keepdims=True)
+    true_scores = scores[np.arange(len(true)), true]
+    loss = float(np.mean(np.log(z[:, 0]) + m[:, 0] - true_scores))
+    return loss, (q, c, ur, vr, exp, z)
+
+
 def rating_loss(batch: Batch, params: ModelParams) -> float:
-    u = forward_users(params, batch.query_block).out
-    v = forward_candidates(params, batch.pair_block).out
-    pred = rating_predict(params, u, v).astype(np.float64)
-    return float(np.mean((pred - batch.labels) ** 2))
+    return _rating_forward(batch, params)[0]
 
 
-def _score_matrix(params: ModelParams, qblock: QueryBlock, cblock: CandidateBlock) -> np.ndarray:
-    ur = retrieval_project(params, "user", forward_users(params, qblock).out)
-    vr = retrieval_project(params, "item", forward_candidates(params, cblock).out)
-    return ur @ vr.T
+def retrieval_loss(batch: Batch, params: ModelParams) -> float:
+    return _retrieval_forward(batch, params)[0]
 
 
 def retrieval_log_prob(
@@ -165,24 +197,9 @@ def retrieval_log_prob(
     params: ModelParams,
 ) -> float:
     """log P(true candidate | query) under the candidate-set softmax."""
-    if not (0 <= y_true_index < len(candidates)):
-        raise CandidateMissing(f"true index {y_true_index} not in candidate set")
-    scores = _score_matrix(
-        params, QueryBlock.from_features([x]), CandidateBlock.from_features(candidates)
-    )[0].astype(np.float64)
-    m = scores.max()
-    lse = m + math.log(np.exp(scores - m).sum())
-    return float(scores[y_true_index] - lse)
-
-
-def retrieval_loss(batch: Batch, params: ModelParams) -> float:
-    scores = _score_matrix(params, batch.query_block, batch.softmax_block).astype(np.float64)
-    if batch.true_indices.min() < 0 or batch.true_indices.max() >= scores.shape[1]:
-        raise CandidateMissing("true index outside the candidate set")
-    m = scores.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(scores - m).sum(axis=1))
-    true = scores[np.arange(len(scores)), batch.true_indices]
-    return float(np.mean(lse - true))
+    # Only the retrieval task reads this batch; its rating half is a placeholder.
+    batch = Batch([x], [CandidateFeatures(0)], [0.0], candidates, [y_true_index])
+    return -retrieval_loss(batch, params)
 
 
 def joint_loss(batch: Batch, params: ModelParams, weights: LossWeights) -> float:
@@ -194,55 +211,68 @@ def joint_loss(batch: Batch, params: ModelParams, weights: LossWeights) -> float
     return total
 
 
-# ---------------------------------------------------------------------------
-# Backprop.
-# ---------------------------------------------------------------------------
-
-
 def _tower_backward(
-    params: ModelParams,
-    prefix: str,
-    cache: TowerCache,
-    d_out: np.ndarray,
-    grads: dict[str, np.ndarray],
+    params: ModelParams, prefix: str, cache: TowerCache, d_out: np.ndarray, grads: dict
 ) -> np.ndarray:
     """Backprop one tower; returns the gradient w.r.t. the tower input."""
     t = params.tensors
     grads[f"{prefix}.1.w"] += cache.h1.T @ d_out
     grads[f"{prefix}.1.b"] += d_out.sum(axis=0)
-    d_h1 = d_out @ t[f"{prefix}.1.w"].T
-    if params.hidden_activation == "relu":
-        d_h1 = d_h1 * (cache.pre1 > 0)
+    d_h1 = (d_out @ t[f"{prefix}.1.w"].T) * (cache.pre1 > 0)
     grads[f"{prefix}.0.w"] += cache.x.T @ d_h1
     grads[f"{prefix}.0.b"] += d_h1.sum(axis=0)
     return d_h1 @ t[f"{prefix}.0.w"].T
 
 
-def _user_backward(
-    params: ModelParams,
-    block: QueryBlock,
-    cache: TowerCache,
-    d_u: np.ndarray,
-    grads: dict[str, np.ndarray],
+def _towers_backward(
+    params: ModelParams, grads: dict, qblock: QueryBlock, q: TowerCache, d_u: np.ndarray,
+    cblock: CandidateBlock, c: TowerCache, d_v: np.ndarray,
 ) -> None:
-    d_x = _tower_backward(params, "user_tower", cache, d_u, grads)
-    np.add.at(grads["user_table"], block.user_idx, d_x[:, : params.k])
-    # date-feature columns are inputs, not parameters
-
-
-def _candidate_backward(
-    params: ModelParams,
-    block: CandidateBlock,
-    cache: TowerCache,
-    d_v: np.ndarray,
-    grads: dict[str, np.ndarray],
-) -> None:
+    """Backprop both towers from their output gradients into the towers and
+    the embedding tables. Date-feature columns are inputs, not parameters."""
     k = params.k
-    d_x = _tower_backward(params, "business_tower", cache, d_v, grads)
-    np.add.at(grads["business_table"], block.business_idx, d_x[:, :k])
-    if params.use_text and block.buckets.size:
+    d_x = _tower_backward(params, "user_tower", q, d_u, grads)
+    np.add.at(grads["user_table"], qblock.user_idx, d_x[:, :k])
+    d_x = _tower_backward(params, "business_tower", c, d_v, grads)
+    np.add.at(grads["business_table"], cblock.business_idx, d_x[:, :k])
+    if params.use_text and cblock.buckets.size:
         text_grad = grads["text_table"]
-        text_grad += block.pooling_matrix(text_grad.shape[0], params.dtype).T @ d_x[:, k:]
+        text_grad += cblock.pooling_matrix(text_grad.shape[0], params.dtype).T @ d_x[:, k:]
+
+
+def _rating_backward(
+    batch: Batch, params: ModelParams, cache: tuple, weight: float, grads: dict
+) -> None:
+    """Add `weight` times the rating loss gradient to `grads`."""
+    q, c, diff = cache
+    d_pred = (weight * 2.0 / len(diff)) * diff.astype(params.dtype)  # [n]
+    grads["rating_head.w"] += (q.out * c.out).T @ d_pred[:, None]
+    grads["rating_head.b"] += np.array([d_pred.sum()], dtype=params.dtype)
+    d_uv = d_pred[:, None] * params.tensors["rating_head.w"][:, 0][None, :]
+    _towers_backward(
+        params, grads, batch.query_block, q, d_uv * c.out, batch.pair_block, c, d_uv * q.out
+    )
+
+
+def _retrieval_backward(
+    batch: Batch, params: ModelParams, cache: tuple, weight: float, grads: dict
+) -> None:
+    """Add `weight` times the retrieval loss gradient to `grads`."""
+    q, c, ur, vr, exp, z = cache
+    t = params.tensors
+    n = len(z)
+    d_scores = exp / z  # softmax probabilities
+    d_scores[np.arange(n), batch.true_indices] -= 1.0
+    d_scores = ((weight / n) * d_scores).astype(params.dtype)
+    d_ur = d_scores @ vr
+    d_vr = d_scores.T @ ur
+    grads["retrieval_head.user.w"] += q.out.T @ d_ur
+    grads["retrieval_head.user.b"] += d_ur.sum(axis=0)
+    grads["retrieval_head.item.w"] += c.out.T @ d_vr
+    grads["retrieval_head.item.b"] += d_vr.sum(axis=0)
+    d_u = d_ur @ t["retrieval_head.user.w"].T
+    d_v = d_vr @ t["retrieval_head.item.w"].T
+    _towers_backward(params, grads, batch.query_block, q, d_u, batch.softmax_block, c, d_v)
 
 
 def loss_and_gradients(
@@ -253,61 +283,18 @@ def loss_and_gradients(
 ) -> tuple[float, float, dict[str, np.ndarray]]:
     """(rating loss, retrieval loss, gradients of the joint loss).
 
-    Frozen tensors receive exactly-zero gradients. A branch with zero
-    weight is skipped entirely, so tensors only it touches stay at zero.
+    Frozen tensors receive exactly-zero gradients. A task with zero
+    weight is skipped entirely (its loss reads 0), so tensors only it
+    touches stay at zero.
     """
-    t = params.tensors
     grads = params.zeros_like_tensors()
-    n = len(batch.queries)
-    l_rating = 0.0
-    l_retrieval = 0.0
-
+    l_rating = l_retrieval = 0.0
     if weights.rating != 0.0:
-        q_cache = forward_users(params, batch.query_block)
-        c_cache = forward_candidates(params, batch.pair_block)
-        u, v = q_cache.out, c_cache.out
-        pred = rating_predict(params, u, v)
-        diff = (pred.astype(np.float64) - batch.labels).astype(params.dtype)
-        l_rating = float(np.mean(diff.astype(np.float64) ** 2))
-        d_pred = (weights.rating * 2.0 / n) * diff  # [n]
-        uv = u * v
-        grads["rating_head.w"] += uv.T @ d_pred[:, None]
-        grads["rating_head.b"] += np.array([d_pred.sum()], dtype=params.dtype)
-        d_uv = d_pred[:, None] * t["rating_head.w"][:, 0][None, :]
-        _user_backward(params, batch.query_block, q_cache, d_uv * v, grads)
-        _candidate_backward(params, batch.pair_block, c_cache, d_uv * u, grads)
-
+        l_rating, cache = _rating_forward(batch, params)
+        _rating_backward(batch, params, cache, weights.rating, grads)
     if weights.retrieval != 0.0:
-        q_cache = forward_users(params, batch.query_block)
-        c_cache = forward_candidates(params, batch.softmax_block)
-        ur = retrieval_project(params, "user", q_cache.out)
-        vr = retrieval_project(params, "item", c_cache.out)
-        scores = (ur @ vr.T).astype(np.float64)
-        if batch.true_indices.min() < 0 or batch.true_indices.max() >= scores.shape[1]:
-            raise CandidateMissing("true index outside the candidate set")
-        m = scores.max(axis=1, keepdims=True)
-        exp = np.exp(scores - m)
-        z = exp.sum(axis=1, keepdims=True)
-        probs = exp / z
-        rows = np.arange(n)
-        l_retrieval = float(np.mean(np.log(z[:, 0]) + m[:, 0] - scores[rows, batch.true_indices]))
-        d_scores = probs
-        d_scores[rows, batch.true_indices] -= 1.0
-        d_scores = (weights.retrieval / n) * d_scores
-        d_scores = d_scores.astype(params.dtype)
-        d_ur = d_scores @ vr
-        d_vr = d_scores.T @ ur
-        grads["retrieval_head.user.w"] += q_cache.out.T @ d_ur
-        grads["retrieval_head.user.b"] += d_ur.sum(axis=0)
-        grads["retrieval_head.item.w"] += c_cache.out.T @ d_vr
-        grads["retrieval_head.item.b"] += d_vr.sum(axis=0)
-        _user_backward(
-            params, batch.query_block, q_cache, d_ur @ t["retrieval_head.user.w"].T, grads
-        )
-        _candidate_backward(
-            params, batch.softmax_block, c_cache, d_vr @ t["retrieval_head.item.w"].T, grads
-        )
-
+        l_retrieval, cache = _retrieval_forward(batch, params)
+        _retrieval_backward(batch, params, cache, weights.retrieval, grads)
     for name in frozen:
         if name in grads:
             grads[name][...] = 0.0
@@ -416,14 +403,9 @@ def _kink_margin(params: ModelParams, batch: Batch) -> float:
     Finite differences step across rectifier kinks when a preactivation
     sits within the perturbation range, so seeds that close are rejected.
     """
-    margins = []
-    for cache in (
-        forward_users(params, batch.query_block),
-        forward_candidates(params, batch.pair_block),
-        forward_candidates(params, batch.softmax_block),
-    ):
-        margins.append(float(np.abs(cache.pre1).min()))
-    return min(margins)
+    q, pair, _ = _rating_forward(batch, params)[1]
+    caches = (q, pair, *_retrieval_forward(batch, params)[1][:2])
+    return min(float(np.abs(cache.pre1).min()) for cache in caches)
 
 
 def reference_gradcheck(

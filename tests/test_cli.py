@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -117,6 +118,19 @@ class TestCheckpointFormat:
         with pytest.raises(VersionMismatch):
             load_checkpoint(path)
 
+    def test_rank_above_numpy_limit(self, tmp_path):
+        """A tensor of 65 unit dimensions: its one value is in the file, but
+        no numpy array has that many dimensions."""
+        path = tmp_path / "c.ckpt"
+        tensors = {"t": np.zeros((1,) * 32, dtype=np.float32)}
+        save_checkpoint(path, tensors, Vocabulary(["u1"]), Vocabulary(["b1"]), "")
+        data = path.read_bytes()
+        rank_at = data.index(b"t" + struct.pack("<I", 32)) + 1  # the rank follows the name
+        dims_end = rank_at + 4 + 4 * 32
+        path.write_bytes(data[:rank_at] + struct.pack("<I", 65) + data[rank_at + 4 : dims_end]
+                         + struct.pack("<I", 1) * 33 + data[dims_end:])
+        with pytest.raises(CorruptFile):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("old, new", [(b"b2", b"b1"), (b"u1", b"\xff1")],
                              ids=["duplicate-id", "invalid-utf8-id"])
@@ -379,6 +393,39 @@ class TestEvaluate:
                    "--report", str(tmp_path / "r.txt")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: non-finite")
+
+
+def _without(tensors, name):
+    return {n: t for n, t in tensors.items() if n != name}
+
+
+# Each fault and the (tensors, echo) -> (tensors, echo) edit that plants it.
+SHAPE_FAULTS = {
+    "missing-tensor": lambda t, echo: (_without(t, "rating_head.b"), echo),
+    "cut-column": lambda t, echo: ({**t, "user_tower.0.w": t["user_tower.0.w"][:, :-1]}, echo),
+    "echo-embed-dim": lambda t, echo: (t, echo.replace("embed_dim = 4", "embed_dim = 5")),
+    "cut-candidate-rows": lambda t, echo: (
+        {**t, "aux.candidate_embeddings": t["aux.candidate_embeddings"][:3]}, echo),
+}
+
+
+class TestCheckpointShapes:
+    @pytest.mark.parametrize("fault", list(SHAPE_FAULTS))
+    def test_shape_mismatch_is_a_clean_error(self, fault, checkpoint_file, corpus_file,
+                                             tmp_path, capsys):
+        tensors, users, businesses, echo = load_checkpoint(checkpoint_file)
+        assert "embed_dim = 4\n" in echo
+        tensors, echo = SHAPE_FAULTS[fault](tensors, echo)
+        broken = tmp_path / "broken.ckpt"
+        save_checkpoint(broken, tensors, users, businesses, echo)
+        user = json.loads(corpus_file.read_text().splitlines()[0])["user_id"]
+        for argv in (["evaluate", "--corpus", str(corpus_file), "--report", str(tmp_path / "r")],
+                     ["recommend", "--user-id", user, "--k", "10"]):
+            capsys.readouterr()
+            assert main([*argv, "--checkpoint", str(broken)]) == 1, argv[0]
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: tensor "), captured.err
 
 
 class TestRecommend:

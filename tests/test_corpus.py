@@ -90,6 +90,14 @@ class TestParseRecord:
         with pytest.raises(OutOfRange):
             parse_record(line)
 
+    @pytest.mark.parametrize("vote", [None, [1], {"n": 1}])
+    def test_vote_not_a_number_rejected(self, vote):
+        line = VALID_LINE.replace('"useful":1', f'"useful":{json.dumps(vote)}')
+        with pytest.raises(OutOfRange):
+            parse_record(line)
+        corpus = load_corpus([VALID_LINE, line], skip_malformed=True)
+        assert (len(corpus), corpus.skipped) == (1, 1)
+
     def test_integral_float_vote_accepted(self):
         line = VALID_LINE.replace('"useful":1', '"useful":2.0')
         assert parse_record(line).votes == (0, 2, 0)

@@ -148,10 +148,10 @@ class TestRetrievalRanks:
         cands = [CandidateFeatures(j) for j in range(m)]
         params = init_params(seed=0, num_users=2, num_businesses=m, k=2,
                              use_text=False, use_date=False, dtype=np.float64)
-        # Replace the two projections so that ur @ vr.T is `scores` exactly.
+        # Replace the two sides so that ur @ vr.T is `scores` exactly.
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(evaluation, "retrieval_project",
-                       lambda p, side, out: scores if side == "user" else np.eye(m))
+            mp.setattr(evaluation, "retrieval_project", lambda p, side, out: scores)
+            mp.setattr(evaluation, "candidate_embeddings", lambda p, c: np.eye(m))
             ranks = retrieval_ranks(queries, true, cands, params)
             want = [_stable_argsort_rank(row, t) for row, t in zip(scores, true)]
             assert ranks.dtype == np.int64

@@ -63,17 +63,18 @@ class TestInitParams:
 
 def identity_params(k=2):
     """Hand-built params whose towers and retrieval heads pass through the
-    embedding row untouched (no rectifier, zero date/text contributions)."""
+    embedding row untouched (zero date/text contributions). The hidden layer
+    holds [x, -x] and the output layer takes their difference, since
+    relu(x) - relu(-x) == x."""
     params = tiny_params(k=k, users=3, businesses=3, use_text=False, use_date=False)
-    params.hidden_activation = "none"
     t = params.tensors
+    eye = np.eye(k, dtype=np.float32)
     for prefix, d_in in (("user_tower", k + DATE_DIM), ("business_tower", 2 * k)):
         w0 = np.zeros((d_in, 2 * k), dtype=np.float32)
-        w0[:k, :k] = np.eye(k)
+        w0[:k] = np.hstack([eye, -eye])
         t[f"{prefix}.0.w"] = w0
         t[f"{prefix}.0.b"] = np.zeros(2 * k, dtype=np.float32)
-        w1 = np.zeros((2 * k, k), dtype=np.float32)
-        w1[:k, :k] = np.eye(k)
+        w1 = np.vstack([eye, -eye])
         t[f"{prefix}.1.w"] = w1
         t[f"{prefix}.1.b"] = np.zeros(k, dtype=np.float32)
     for side in ("user", "item"):
@@ -95,11 +96,10 @@ def straight_line_encode(params, query=None, candidate=None, task="retrieval"):
             out[j] = max(acc, 0.0) if relu else acc
         return out
 
-    relu = params.hidden_activation == "relu"
     if query is not None:
         date = list(query.date_features) if query.date_features else [0.0] * DATE_DIM
         x = np.concatenate([t["user_table"][query.user_index].astype(np.float64), date])
-        h = dense(x, t["user_tower.0.w"].astype(np.float64), t["user_tower.0.b"], relu)
+        h = dense(x, t["user_tower.0.w"].astype(np.float64), t["user_tower.0.b"], True)
         out = dense(h, t["user_tower.1.w"].astype(np.float64), t["user_tower.1.b"], False)
         side = "user"
     else:
@@ -110,7 +110,7 @@ def straight_line_encode(params, query=None, candidate=None, task="retrieval"):
                 pooled += c * t["text_table"][bucket].astype(np.float64)
             pooled /= total
         x = np.concatenate([t["business_table"][candidate.business_index].astype(np.float64), pooled])
-        h = dense(x, t["business_tower.0.w"].astype(np.float64), t["business_tower.0.b"], relu)
+        h = dense(x, t["business_tower.0.w"].astype(np.float64), t["business_tower.0.b"], True)
         out = dense(h, t["business_tower.1.w"].astype(np.float64), t["business_tower.1.b"], False)
         side = "item"
     if task == "retrieval":

@@ -119,6 +119,42 @@ class TestLosses:
         want = 0.3 * rating_loss(batch, params) + 0.7 * retrieval_loss(batch, params)
         assert joint_loss(batch, params, w) == pytest.approx(want, rel=1e-9)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["full_corpus", "in_batch"])
+    @pytest.mark.parametrize("w", [(0.3, 0.7), (1.0, 0.0), (0.0, 1.0)],
+                             ids=["joint", "rating-only", "retrieval-only"])
+    def test_loss_functions_equal_training_losses(self, dtype, mode, w):
+        """The loss functions and the training step share one forward per
+        task, so they agree exactly, not just within rounding."""
+        params, batch = tiny()
+        params = params.astype(dtype)
+        if mode == "in_batch":
+            batch = Batch.in_batch(batch.queries, batch.pair_candidates, batch.labels)
+        weights = LossWeights(*w)
+        l_rat, l_ret, _ = loss_and_gradients(batch, params, weights)
+        assert l_rat == (rating_loss(batch, params) if w[0] else 0.0)
+        assert l_ret == (retrieval_loss(batch, params) if w[1] else 0.0)
+        assert joint_loss(batch, params, weights) == w[0] * l_rat + w[1] * l_ret
+
+    def test_log_prob_is_one_query_retrieval_loss(self):
+        params, batch = tiny()
+        cands = list(batch.softmax_candidates)
+        for q, c, y, t in zip(batch.queries, batch.pair_candidates, batch.labels,
+                              batch.true_indices):
+            one = Batch([q], [c], [y], cands, [t])
+            assert retrieval_log_prob(q, int(t), cands, params) == -retrieval_loss(one, params)
+
+    @pytest.mark.parametrize("field", ["pair_candidates", "labels", "true_indices"])
+    def test_batch_lengths_must_match_queries(self, field):
+        """A short field would broadcast into a loss instead of failing."""
+        _, batch = tiny()
+        parts = dict(queries=batch.queries, pair_candidates=batch.pair_candidates,
+                     labels=batch.labels, softmax_candidates=batch.softmax_candidates,
+                     true_indices=batch.true_indices)
+        parts[field] = parts[field][:1]
+        with pytest.raises(ValueError):
+            Batch(**parts)
+
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             LossWeights(-0.1, 0.5)
