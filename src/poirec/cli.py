@@ -19,7 +19,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import corpus as corpus_mod
 from . import evaluation, model, training
-from .features import CandidateFeatures, FeatureConfig, FeatureSpace, QueryFeatures
+from .features import LABEL_SCALES, FeatureConfig, FeatureSpace, QueryFeatures
 
 
 class ConfigError(Exception):
@@ -93,7 +93,7 @@ _CONFIG_SPEC = {
     "epsilon": (float, 1e-7, _finite_positive),
     "split_ratio": (float, 0.9, _open_unit_interval),
     "eval_ks": (str, "100", _k_list),
-    "label_scale": (str, "raw", _one_of("raw", "normalized")),
+    "label_scale": (str, "raw", _one_of(*LABEL_SCALES)),
     "mnb_buckets": (int, 32768, _at_least(2)),
     # derived at train time, carried in the checkpoint echo
     "date_min": (int, 0, None),
@@ -181,17 +181,17 @@ def _load_corpus_file(path: str, skip_malformed: bool = False) -> corpus_mod.Cor
 AUX_CANDIDATES = "aux.candidate_embeddings"
 
 
-def _params_from_checkpoint(
-    tensors: dict[str, np.ndarray], cfg: dict, num_users: int, num_businesses: int
-) -> tuple[model.ModelParams, np.ndarray]:
-    """The model and the precomputed candidate embeddings. Every tensor's
-    name and shape must be the ones the config echo and the vocabulary
-    sizes give, or the file is corrupt."""
+def _load_model(path: str) -> tuple[model.ModelParams, np.ndarray, FeatureSpace, dict]:
+    """A checkpoint's model, precomputed candidate embeddings, feature
+    space and config echo. Every tensor's name and shape must be the ones
+    the config echo and the vocabulary sizes give, or the file is corrupt."""
+    tensors, user_vocab, business_vocab, echo = ckpt.load_checkpoint(path)
+    cfg = parse_config_text(echo)
     k = cfg["embed_dim"]
     want = model.param_shapes(
-        num_users, num_businesses, k, cfg["use_text"], cfg["text_hash_buckets"]
+        len(user_vocab), len(business_vocab), k, cfg["use_text"], cfg["text_hash_buckets"]
     )
-    want[AUX_CANDIDATES] = (num_businesses, k)
+    want[AUX_CANDIDATES] = (len(business_vocab), k)
     for name in sorted(want.keys() | tensors.keys()):
         got = tensors[name].shape if name in tensors else "missing"
         need = want.get(name, "none")
@@ -203,7 +203,14 @@ def _params_from_checkpoint(
     params = model.ModelParams(
         k=k, use_text=cfg["use_text"], use_date=cfg["use_date"], tensors=core
     )
-    return params, tensors[AUX_CANDIDATES]
+    space = FeatureSpace(
+        user_vocab=user_vocab,
+        business_vocab=business_vocab,
+        config=_feature_config(cfg),
+        date_min=cfg["date_min"],
+        date_max=cfg["date_max"],
+    )
+    return params, tensors[AUX_CANDIDATES], space, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +276,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    tensors, user_vocab, business_vocab, echo = ckpt.load_checkpoint(args.checkpoint)
-    cfg = parse_config_text(echo)
-    params, _ = _params_from_checkpoint(tensors, cfg, len(user_vocab), len(business_vocab))
-    space = FeatureSpace(
-        user_vocab=user_vocab,
-        business_vocab=business_vocab,
-        config=_feature_config(cfg),
-        date_min=cfg["date_min"],
-        date_max=cfg["date_max"],
-    )
+    params, _, space, cfg = _load_model(args.checkpoint)
     corpus = _load_corpus_file(args.corpus)
     split = corpus_mod.temporal_split(corpus, cfg["split_ratio"])
     ks = args.k or _k_list(cfg["eval_ks"])
@@ -304,9 +302,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_recommend(args: argparse.Namespace) -> int:
-    tensors, user_vocab, business_vocab, echo = ckpt.load_checkpoint(args.checkpoint)
-    cfg = parse_config_text(echo)
-    params, cand_emb = _params_from_checkpoint(tensors, cfg, len(user_vocab), len(business_vocab))
+    params, cand_emb, space, _ = _load_model(args.checkpoint)
+    user_vocab = space.user_vocab
     if args.user_id not in user_vocab:
         print(f"error: unknown user id {args.user_id!r}", file=sys.stderr)
         return 1
@@ -317,7 +314,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     order = np.argsort(-scores, kind="stable")
     order = order[order != 0]  # index 0 is the OOV bucket, not a business
     for rank, idx in enumerate(order[: args.k], start=1):
-        print(f"{rank}, {business_vocab.id_of(int(idx))}, {scores[idx]:.6f}")
+        print(f"{rank}, {space.business_vocab.id_of(int(idx))}, {scores[idx]:.6f}")
     return 0
 
 

@@ -17,9 +17,8 @@ bucket -> count dicts, are thin adapters over `mnb_fit` and `mnb_classify`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -29,8 +28,10 @@ from .features import (
     FeatureSpace,
     QueryFeatures,
     TextCSR,
+    counts_csr,
     encode_query,
     encode_texts,
+    star_labels,
 )
 from .model import (
     CandidateBlock,
@@ -152,16 +153,20 @@ class ConfusionMatrix:
     def accuracy(self) -> float:
         return float(np.trace(self.counts)) / max(self.total, 1)
 
+    def rows(self) -> list[tuple[str, str, ClassStats]]:
+        """(report key, table label, stats) of each star class, then of the
+        micro, macro and weighted averages."""
+        rows = [(f"class_{star}", str(star), s) for star, s in enumerate(self.per_class, start=1)]
+        for name in ("micro", "macro", "weighted"):
+            rows.append((name, f"{name} average", getattr(self, name)))
+        return rows
+
     def table(self) -> str:
         """Aligned text table: precision, recall, f1, support per star class."""
         lines = [f"{'':>18}{'precision':>10}{'recall':>8}{'f1':>6}{'support':>9}"]
-        for star, s in enumerate(self.per_class, start=1):
+        for _, label, s in self.rows():
             lines.append(
-                f"{star:>18}{s.precision:>10.2f}{s.recall:>8.2f}{s.f1:>6.2f}{s.support:>9}"
-            )
-        for name, s in (("micro", self.micro), ("macro", self.macro), ("weighted", self.weighted)):
-            lines.append(
-                f"{name + ' average':>18}{s.precision:>10.2f}{s.recall:>8.2f}{s.f1:>6.2f}{s.support:>9}"
+                f"{label:>18}{s.precision:>10.2f}{s.recall:>8.2f}{s.f1:>6.2f}{s.support:>9}"
             )
         return "\n".join(lines)
 
@@ -288,17 +293,6 @@ def mnb_classify(
     return np.asarray(model.classes)[np.argmax(scores, axis=1)]
 
 
-def _documents_csr(
-    documents: Sequence[Mapping[int, int]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    lengths = [len(d) for d in documents]
-    indptr = np.zeros(len(documents) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    buckets = np.fromiter((b for d in documents for b in d), dtype=np.int64, count=indptr[-1])
-    counts = np.fromiter((c for d in documents for c in d.values()), dtype=np.int64, count=indptr[-1])
-    return indptr, buckets, counts
-
-
 def mnb_train(
     documents: Sequence[tuple[Mapping[int, int], int]],
     alpha: float = 1.0,
@@ -308,7 +302,7 @@ def mnb_train(
     defaults to 1 + the largest bucket seen."""
     if len(documents) == 0:
         raise EmptyInput("no training documents")
-    indptr, buckets, counts = _documents_csr([d for d, _ in documents])
+    indptr, buckets, counts = counts_csr([d for d, _ in documents])
     if vocab_size is None:
         vocab_size = 1 + int(buckets.max(initial=0))
     return mnb_fit([s for _, s in documents], indptr, buckets, counts, vocab_size, alpha)
@@ -316,8 +310,7 @@ def mnb_train(
 
 def mnb_predict(model: MnbModel, counts: Mapping[int, int]) -> int:
     """Most probable star class of one bucket -> count document."""
-    csr = _documents_csr([counts])
-    return int(mnb_classify(model, *csr, np.zeros(1, dtype=np.int64))[0])
+    return int(mnb_classify(model, *counts_csr([counts]), np.zeros(1, dtype=np.int64))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -349,20 +342,11 @@ class MetricsReport:
         for k in sorted(self.top_k):
             out.append(f"top_k.{k}={self.top_k[k]:.6f}")
         if self.confusion is not None:
-            for star, s in enumerate(self.confusion.per_class, start=1):
-                out.append(f"confusion.class_{star}.precision={s.precision:.6f}")
-                out.append(f"confusion.class_{star}.recall={s.recall:.6f}")
-                out.append(f"confusion.class_{star}.f1={s.f1:.6f}")
-                out.append(f"confusion.class_{star}.support={s.support}")
-            for name, s in (
-                ("micro", self.confusion.micro),
-                ("macro", self.confusion.macro),
-                ("weighted", self.confusion.weighted),
-            ):
-                out.append(f"confusion.{name}.precision={s.precision:.6f}")
-                out.append(f"confusion.{name}.recall={s.recall:.6f}")
-                out.append(f"confusion.{name}.f1={s.f1:.6f}")
-                out.append(f"confusion.{name}.support={s.support}")
+            for key, _, s in self.confusion.rows():
+                out.append(f"confusion.{key}.precision={s.precision:.6f}")
+                out.append(f"confusion.{key}.recall={s.recall:.6f}")
+                out.append(f"confusion.{key}.f1={s.f1:.6f}")
+                out.append(f"confusion.{key}.support={s.support}")
         return out
 
     def text(self) -> str:
@@ -384,6 +368,7 @@ def predict_ratings(
     `text` is `encode_texts` of the records' texts; when it is omitted and
     text features are on, the texts are encoded here.
     """
+    labels = star_labels(records, label_scale)
     if not space.config.use_text:
         text = None
     elif text is None:
@@ -394,9 +379,6 @@ def predict_ratings(
     u = forward_users(params, QueryBlock.from_features(queries)).out
     v = forward_candidates(params, block).out
     preds = rating_predict(params, u, v)
-    labels = np.array([float(r.stars) for r in records])
-    if label_scale == "normalized":
-        labels = (labels - 1.0) / 4.0
     return [(float(p), float(l)) for p, l in zip(preds, labels)]
 
 

@@ -92,6 +92,20 @@ def build_vocabularies(
     return Vocabulary(users), Vocabulary(businesses)
 
 
+LABEL_SCALES = ("raw", "normalized")
+
+
+def star_labels(records: Sequence[InteractionRecord], label_scale: str) -> np.ndarray:
+    """float64 rating labels: the stars as given (`raw`) or mapped onto
+    [0, 1] as (stars - 1) / 4 (`normalized`)."""
+    if label_scale not in LABEL_SCALES:
+        raise ValueError(f"label_scale must be one of {', '.join(LABEL_SCALES)}: {label_scale!r}")
+    labels = np.array([float(r.stars) for r in records], dtype=np.float64)
+    if label_scale == "normalized":
+        labels = (labels - 1.0) / 4.0
+    return labels
+
+
 def tokenize_text(text: str) -> list[str]:
     """Lowercase and split on runs of non-alphanumeric characters."""
     return _TOKEN_RE.findall(text.lower())
@@ -128,6 +142,22 @@ def text_bucket_counts(text: str, buckets: int) -> dict[int, int]:
         idx = _fnv1a64(token) % buckets
         counts[idx] = counts.get(idx, 0) + n
     return counts
+
+
+def counts_csr(
+    rows: Sequence[Optional[Mapping[int, int]]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """bucket -> count dicts as CSR (indptr, buckets, counts), int64; each
+    row keeps its dict's order, and None is an empty row."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    buckets: list[int] = []
+    counts: list[int] = []
+    for i, row in enumerate(rows):
+        if row:
+            buckets.extend(row)
+            counts.extend(row.values())
+        indptr[i + 1] = len(buckets)
+    return indptr, np.asarray(buckets, dtype=np.int64), np.asarray(counts, dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .features import CandidateFeatures, QueryFeatures, TextCSR
+from .features import CandidateFeatures, QueryFeatures, TextCSR, counts_csr
 
 DATE_DIM = 3
-
-TOWER_LAYER_NAMES = ("0.w", "0.b", "1.w", "1.b")
 
 
 class IndexOutOfBounds(Exception):
@@ -45,12 +43,7 @@ class ModelParams:
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
 
     def clone(self) -> "ModelParams":
-        return ModelParams(
-            k=self.k,
-            use_text=self.use_text,
-            use_date=self.use_date,
-            tensors={n: t.copy() for n, t in self.tensors.items()},
-        )
+        return self.astype(self.dtype)
 
     def astype(self, dtype) -> "ModelParams":
         return ModelParams(
@@ -158,24 +151,11 @@ class CandidateBlock:
 
     @classmethod
     def from_features(cls, candidates: Sequence[CandidateFeatures]) -> "CandidateBlock":
-        m = len(candidates)
         business_idx = np.fromiter(
-            (c.business_index for c in candidates), dtype=np.int64, count=m
+            (c.business_index for c in candidates), dtype=np.int64, count=len(candidates)
         )
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        buckets: list[int] = []
-        counts: list[int] = []
-        for i, c in enumerate(candidates):
-            if c.text_counts:
-                buckets.extend(c.text_counts)
-                counts.extend(c.text_counts.values())
-            indptr[i + 1] = len(buckets)
-        return cls(
-            business_idx=business_idx,
-            indptr=indptr,
-            buckets=np.asarray(buckets, dtype=np.int64),
-            counts=np.asarray(counts, dtype=np.float64),
-        )
+        indptr, buckets, counts = counts_csr([c.text_counts for c in candidates])
+        return cls(business_idx, indptr, buckets, counts.astype(np.float64))
 
     @classmethod
     def from_text(
@@ -239,12 +219,17 @@ def _tower_forward(params: ModelParams, prefix: str, x: np.ndarray) -> TowerCach
     return TowerCache(x=x, pre1=pre1, h1=h1, out=out)
 
 
+def _embed(params: ModelParams, table_name: str, idx: np.ndarray) -> np.ndarray:
+    """Rows `idx` of an embedding table; any index outside it raises."""
+    table = params.tensors[table_name]
+    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+        raise IndexOutOfBounds(f"index outside the {table.shape[0]} rows of {table_name}")
+    return table[idx]
+
+
 def forward_users(params: ModelParams, block: QueryBlock) -> TowerCache:
-    table = params.tensors["user_table"]
-    if block.user_idx.size and (block.user_idx.min() < 0 or block.user_idx.max() >= table.shape[0]):
-        raise IndexOutOfBounds("user index outside embedding table")
-    dt = params.dtype
-    x = np.concatenate([table[block.user_idx], block.date.astype(dt)], axis=1)
+    user = _embed(params, "user_table", block.user_idx)
+    x = np.concatenate([user, block.date.astype(params.dtype)], axis=1)
     return _tower_forward(params, "user_tower", x)
 
 
@@ -257,12 +242,8 @@ def pooled_text(params: ModelParams, block: CandidateBlock) -> np.ndarray:
 
 
 def forward_candidates(params: ModelParams, block: CandidateBlock) -> TowerCache:
-    table = params.tensors["business_table"]
-    if block.business_idx.size and (
-        block.business_idx.min() < 0 or block.business_idx.max() >= table.shape[0]
-    ):
-        raise IndexOutOfBounds("business index outside embedding table")
-    x = np.concatenate([table[block.business_idx], pooled_text(params, block)], axis=1)
+    business = _embed(params, "business_table", block.business_idx)
+    x = np.concatenate([business, pooled_text(params, block)], axis=1)
     return _tower_forward(params, "business_tower", x)
 
 

@@ -11,7 +11,7 @@ differences in float64.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -24,6 +24,7 @@ from .features import (
     aggregate_candidates,
     encode_candidate,
     encode_query,
+    star_labels,
     sum_candidates,
 )
 from .corpus import InteractionRecord
@@ -412,7 +413,6 @@ def reference_gradcheck(
     seed: int = 0,
     step: float = 1e-3,
     corrupt: Optional[str] = None,
-    max_seed_tries: int = 100,
 ) -> tuple[float, str, int]:
     """Run the finite-difference check on the tiny reference model.
 
@@ -422,7 +422,7 @@ def reference_gradcheck(
     Returns (max relative error, worst tensor name, seed used).
     """
     weights = LossWeights(0.5, 0.5)
-    for s in range(seed, seed + max_seed_tries):
+    for s in range(seed, seed + 100):
         params, batch = _build_tiny_setup(s)
         if _kink_margin(params.astype(np.float64), batch) > 5.0 * step:
             break
@@ -440,21 +440,15 @@ def reference_gradcheck(
 @dataclass
 class AdagradState:
     accumulators: dict[str, np.ndarray]
-    learning_rate: float = 1e-3
-    epsilon: float = 1e-7
+    learning_rate: float
+    epsilon: float
 
     @classmethod
     def init(
-        cls,
-        params: ModelParams,
-        learning_rate: float = 1e-3,
-        epsilon: float = 1e-7,
-        initial_accumulator: float = 0.1,
+        cls, params: ModelParams, learning_rate: float = 1e-3, epsilon: float = 1e-7
     ) -> "AdagradState":
-        acc = {
-            n: np.full_like(t, params.dtype.type(initial_accumulator))
-            for n, t in params.tensors.items()
-        }
+        """Every accumulator starts at 0.1."""
+        acc = {n: np.full_like(t, params.dtype.type(0.1)) for n, t in params.tensors.items()}
         return cls(accumulators=acc, learning_rate=learning_rate, epsilon=epsilon)
 
 
@@ -518,9 +512,7 @@ class TrainInputs:
         space: FeatureSpace,
         label_scale: str = "raw",
     ) -> "TrainInputs":
-        labels = np.array([float(r.stars) for r in records], dtype=np.float64)
-        if label_scale == "normalized":
-            labels = (labels - 1.0) / 4.0
+        labels = star_labels(records, label_scale)
         candidates = [encode_candidate(r, space) for r in records]
         return cls(
             queries=QueryBlock.from_features([encode_query(r, space) for r in records]),
@@ -551,7 +543,6 @@ def train(
     params: Optional[ModelParams] = None,
     weights: Optional[LossWeights] = None,
     frozen: frozenset[str] | set[str] = frozenset(),
-    epochs: Optional[int] = None,
 ) -> tuple[ModelParams, list[EpochTrace]]:
     """Seeded mini-batch Adagrad over the train partition.
 
@@ -571,12 +562,11 @@ def train(
         )
     if weights is None:
         weights = config.weights
-    n_epochs = config.epochs if epochs is None else epochs
     state = AdagradState.init(params, config.learning_rate, config.epsilon)
     rng = np.random.default_rng(config.seed)
     trace: list[EpochTrace] = []
     n = len(inputs.queries)
-    for epoch in range(1, n_epochs + 1):
+    for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         sums = np.zeros(2)
         batches = 0
@@ -619,7 +609,6 @@ def two_phase_train(
     inputs: TrainInputs,
     space: FeatureSpace,
     config: TrainConfig,
-    phase2_epochs: Optional[int] = None,
 ) -> TwoPhaseResult:
     """Rating pretrain (w=1, w'=0), then retrieval finetune with the towers
     and tables stop-gradiented: only the retrieval head trains in phase 2.
@@ -627,17 +616,7 @@ def two_phase_train(
     params, trace1 = train(inputs, space, config, weights=LossWeights(1.0, 0.0))
     phase1 = params.clone()
     frozen = frozenset(params.tensors) - frozenset(RETRIEVAL_HEAD_TENSORS)
-    p2_epochs = config.epochs if phase2_epochs is None else phase2_epochs
-    if p2_epochs > 0:
-        params, trace2 = train(
-            inputs,
-            space,
-            config,
-            params=params,
-            weights=LossWeights(0.0, 1.0),
-            frozen=frozen,
-            epochs=p2_epochs,
-        )
-    else:
-        trace2 = []
+    params, trace2 = train(
+        inputs, space, config, params=params, weights=LossWeights(0.0, 1.0), frozen=frozen
+    )
     return TwoPhaseResult(params=params, phase1_params=phase1, trace=trace1 + trace2)

@@ -341,6 +341,20 @@ class TestTrainLoop:
         assert np.allclose(norm.labels, (raw.labels - 1.0) / 4.0)
         assert norm.labels.min() >= 0.0 and norm.labels.max() <= 1.0
 
+    def test_unknown_label_scale_raises(self):
+        """A misspelt scale must not train or score on raw stars."""
+        from poirec.evaluation import predict_ratings
+
+        corpus = latent_factor_corpus(n_users=10, n_businesses=8, n_events=50, seed=1)
+        records = list(corpus.records)
+        space = FeatureSpace.build(records, FeatureConfig())
+        params = init_params(seed=0, num_users=space.num_users,
+                             num_businesses=space.num_businesses, k=4)
+        with pytest.raises(ValueError, match="label_scale"):
+            TrainInputs.from_records(records, space, label_scale="Normalized")
+        with pytest.raises(ValueError, match="label_scale"):
+            predict_ratings(params, records, space, label_scale="Normalized")
+
     def test_trace_line_format(self):
         from poirec.training import EpochTrace
 
