@@ -244,6 +244,10 @@ def cmd_train(args: argparse.Namespace) -> int:
                 raise ConfigError(f"--{key.replace('_', '-')}: {exc}") from exc
     if args.two_phase:
         cfg["schedule"] = "two_phase"
+    try:
+        tconfig = _train_config(cfg)
+    except ValueError as exc:  # a rule across keys, such as both loss weights at 0
+        raise ConfigError(str(exc)) from exc
 
     corpus = _load_corpus_file(args.corpus)
     split = corpus_mod.temporal_split(corpus, cfg["split_ratio"])
@@ -256,7 +260,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg["date_min"], cfg["date_max"] = space.date_min, space.date_max
 
     inputs = training.TrainInputs.from_records(train_records, space, cfg["label_scale"])
-    tconfig = _train_config(cfg)
     if cfg["schedule"] == "two_phase":
         result = training.two_phase_train(inputs, space, tconfig)
         params, trace = result.params, result.trace

@@ -230,6 +230,26 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith(f"error: {flag}")
         assert not out.exists()
 
+    def test_zero_weight_flags_are_a_clean_error(self, corpus_file, tmp_path, capsys):
+        out = tmp_path / "m.ckpt"
+        rc = main(["train", "--corpus", str(corpus_file), "--out", str(out),
+                   "--rating-weight", "0", "--retrieval-weight", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_zero_weights_in_config_are_a_clean_error(self, corpus_file, tmp_path, capsys):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("rating_weight = 0\nretrieval_weight = 0\n")
+        out = tmp_path / "m.ckpt"
+        rc = main(["train", "--corpus", str(corpus_file), "--config", str(cfg),
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
     def test_empty_train_partition_refused(self, corpus_file, tmp_path, capsys):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text("split_ratio = 0.001\n")  # cut at int(0.15) = 0 of 150
