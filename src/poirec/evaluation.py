@@ -1,10 +1,13 @@
 """Evaluation: RMSE, top-K categorical accuracy, confusion-matrix stats,
 and the Multinomial Naive Bayes stars-from-text baseline.
 
-Top-K accuracy scores every test query against the full business corpus
-(brute-force maximum inner product) once, counts the candidates ranked
-above each true business, ties broken by ascending business index, and
-reads every K from those ranks.
+Top-K accuracy scores every test query against every business in the
+vocabulary (brute-force maximum inner product) once, counts the
+candidates ranked above each true business, ties broken by ascending
+business index, and reads every K from those ranks. The OOV entry, index
+0, is not a business, so it is never a candidate, and a test review of a
+business unseen in training (a cold-start target) is a miss at every K;
+`poirec recommend` never lists index 0 either.
 
 `evaluate` tokenizes each train and test review once, with
 `features.encode_texts`, and only when text features or the baseline need
@@ -416,19 +419,23 @@ def evaluate(
     # before any pooling matrix, so the corpus block's matrix, built while
     # ranking, can reuse the memory of the test block's, freed after
     # predict_ratings; `del` frees it before the MNB fit.
+    # Row i of the corpus block is business i + 1; train reviews are never OOV.
     lookup = space.business_vocab.lookup
     corpus_block = CandidateBlock.from_text(
-        np.arange(space.num_businesses),
+        np.arange(1, space.num_businesses),
         train_text if use_text else None,
         space.config.text_hash_buckets,
-        row_of=[lookup(r.business_id) for r in train_records],
+        row_of=[lookup(r.business_id) - 1 for r in train_records],
     )
     pairs = predict_ratings(params, test_records, space, label_scale, test_text)
     error = rmse(pairs)
 
-    queries = [encode_query(r, space) for r in test_records]
-    true_idx = [lookup(r.business_id) for r in test_records]
-    ranks = retrieval_ranks(queries, true_idx, corpus_block, params)
+    true_idx = np.array([lookup(r.business_id) for r in test_records], dtype=np.int64)
+    known = np.flatnonzero(true_idx > 0)
+    ranks = np.full(len(test_records), np.iinfo(np.int64).max)  # cold start: a miss at every K
+    if known.size:
+        queries = [encode_query(test_records[i], space) for i in known]
+        ranks[known] = retrieval_ranks(queries, true_idx[known] - 1, corpus_block, params)
     del corpus_block
     top_k = {int(k): _accuracy_at(ranks, int(k)) for k in ks}
 

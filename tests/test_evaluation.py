@@ -231,8 +231,10 @@ class TestEvaluateEncodesText:
 
         queries = [encode_query(r, self.space) for r in self.test]
         true = [self.space.business_vocab.lookup(r.business_id) for r in self.test]
-        ranks = retrieval_ranks(queries, true, aggregate_candidates(self.train, self.space),
-                                self.params)
+        assert min(true) > 0  # no cold-start target: every query is ranked
+        # Candidates are the businesses, without the OOV entry at index 0.
+        cands = aggregate_candidates(self.train, self.space)[1:]
+        ranks = retrieval_ranks(queries, [t - 1 for t in true], cands, self.params)
         docs = [(text_bucket_counts(r.text, self.MNB_BUCKETS), r.stars) for r in self.train]
         model = mnb_train(docs, vocab_size=self.MNB_BUCKETS)
         rng = np.random.default_rng(9)
@@ -274,16 +276,39 @@ class TestEvaluateRanksOnce:
         assert len(calls) == 2  # one for the ratings, one for every K
         monkeypatch.undo()
 
-        queries = [encode_query(r, self.space) for r in self.test]
-        true = [self.space.business_vocab.lookup(r.business_id) for r in self.test]
-        cands = aggregate_candidates(self.train, self.space)
+        # Only known targets are ranked, among the businesses without the
+        # OOV entry; a cold-start target is a miss.
+        known = [r for r in self.test if r.business_id in self.space.business_vocab]
+        assert 0 < len(known) < len(self.test)
+        queries = [encode_query(r, self.space) for r in known]
+        true = [self.space.business_vocab.lookup(r.business_id) - 1 for r in known]
+        cands = aggregate_candidates(self.train, self.space)[1:]
+        hits = {k: round(top_k_accuracy(queries, true, cands, self.params, k) * len(known))
+                for k in self.KS}
         per_k = MetricsReport(
             rmse=rmse(predict_ratings(self.params, self.test, self.space)),
-            top_k={k: top_k_accuracy(queries, true, cands, self.params, k) for k in self.KS},
+            top_k={k: hits[k] / len(self.test) for k in self.KS},
             example_count=len(self.test),
         )
         assert len(set(per_k.top_k.values())) == len(self.KS)
         assert report.text() == per_k.text()
+
+    def test_cold_start_targets_miss_at_every_k(self):
+        """At K = V every known target hits and no cold-start one does."""
+        v = self.space.num_businesses
+        known = sum(r.business_id in self.space.business_vocab for r in self.test)
+        report = evaluate(self.params, self.corpus, self.split, self.space, ks=(v,))
+        assert report.top_k == {v: known / len(self.test)}
+
+    def test_all_cold_targets_rank_nothing(self, monkeypatch):
+        test = set(self.split.test)
+        corpus = Corpus(records=tuple(
+            replace(r, business_id=f"cold-{i}") if i in test else r
+            for i, r in enumerate(self.corpus.records)
+        ))
+        monkeypatch.setattr(evaluation, "retrieval_ranks", None)  # must not be called
+        report = evaluate(self.params, corpus, self.split, self.space, ks=self.KS)
+        assert report.top_k == {k: 0.0 for k in self.KS}
 
     def test_nan_in_retrieval_head_raises(self):
         self.params.tensors["retrieval_head.item.w"][0, 0] = np.nan
