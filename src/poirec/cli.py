@@ -305,12 +305,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_recommend(args: argparse.Namespace) -> int:
     params, cand_emb, space, _ = _load_model(args.checkpoint)
-    user_vocab = space.user_vocab
-    if args.user_id not in user_vocab:
+    if args.user_id not in space.user_vocab:
         print(f"error: unknown user id {args.user_id!r}", file=sys.stderr)
         return 1
     # No interaction context exists at recommendation time: date slots zero.
-    query = QueryFeatures(user_index=user_vocab.lookup(args.user_id))
+    query = QueryFeatures(user_index=space.user_vocab.lookup(args.user_id))
     u = model.user_encode(query, params, task="retrieval")
     scores = cand_emb @ u
     order = np.argsort(-scores, kind="stable")
