@@ -9,7 +9,6 @@ external config.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import Optional, Sequence
 
@@ -19,6 +18,7 @@ from . import checkpoint as ckpt
 from . import corpus as corpus_mod
 from . import evaluation, model, training
 from .features import LABEL_SCALES, FeatureConfig, FeatureSpace, QueryFeatures
+from .training import LossWeights, TrainConfig
 
 
 class ConfigError(Exception):
@@ -50,14 +50,10 @@ def _one_of(*choices: str):
     return check
 
 
-def _finite_positive(value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"must be finite and greater than 0: {value}")
-
-
-def _finite_nonnegative(value: float) -> None:
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"must be finite and at least 0: {value}")
+def _owned(parser, owner: type, name: str):
+    """The spec entry of a key whose default and range `owner` holds: its
+    field default, and a validator that builds an `owner` with the value."""
+    return parser, getattr(owner, name), lambda value: owner(**{name: value})
 
 
 def _open_unit_interval(value: float) -> None:
@@ -77,19 +73,19 @@ def _k_list(text: str) -> list[int]:
 # value the parser accepted but the program cannot run with; None accepts
 # every parsed value.
 _CONFIG_SPEC = {
-    "use_text": (_parse_bool, True, None),
-    "use_date": (_parse_bool, True, None),
-    "text_hash_buckets": (int, 4096, _at_least(2)),
-    "embed_dim": (int, 32, _at_least(1)),
-    "batch_size": (int, 256, _at_least(1)),
-    "epochs": (int, 20, _at_least(1)),
-    "seed": (int, 0, _at_least(0)),
-    "rating_weight": (float, 0.5, _finite_nonnegative),
-    "retrieval_weight": (float, 0.5, _finite_nonnegative),
-    "schedule": (str, "joint", _one_of("joint", "two_phase")),
-    "softmax_mode": (str, "full_corpus", _one_of("full_corpus", "in_batch")),
-    "learning_rate": (float, 1e-3, _finite_positive),
-    "epsilon": (float, 1e-7, _finite_positive),
+    "use_text": (_parse_bool, FeatureConfig.use_text, None),
+    "use_date": (_parse_bool, FeatureConfig.use_date, None),
+    "text_hash_buckets": _owned(int, FeatureConfig, "text_hash_buckets"),
+    "embed_dim": _owned(int, TrainConfig, "embed_dim"),
+    "batch_size": _owned(int, TrainConfig, "batch_size"),
+    "epochs": _owned(int, TrainConfig, "epochs"),
+    "seed": _owned(int, TrainConfig, "seed"),
+    "rating_weight": _owned(float, LossWeights, "rating"),
+    "retrieval_weight": _owned(float, LossWeights, "retrieval"),
+    "schedule": _owned(str, TrainConfig, "schedule"),
+    "softmax_mode": _owned(str, TrainConfig, "softmax_mode"),
+    "learning_rate": _owned(float, TrainConfig, "learning_rate"),
+    "epsilon": _owned(float, TrainConfig, "epsilon"),
     "split_ratio": (float, 0.9, _open_unit_interval),
     "eval_ks": (str, "100", _k_list),
     "label_scale": (str, "raw", _one_of(*LABEL_SCALES)),
@@ -158,9 +154,9 @@ def _feature_config(cfg: dict) -> FeatureConfig:
     )
 
 
-def _train_config(cfg: dict) -> training.TrainConfig:
-    return training.TrainConfig(
-        weights=training.LossWeights(cfg["rating_weight"], cfg["retrieval_weight"]),
+def _train_config(cfg: dict) -> TrainConfig:
+    return TrainConfig(
+        weights=LossWeights(cfg["rating_weight"], cfg["retrieval_weight"]),
         batch_size=cfg["batch_size"],
         epochs=cfg["epochs"],
         seed=cfg["seed"],

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .features import CandidateFeatures, QueryFeatures, TextCSR, counts_csr
+from .features import CandidateFeatures, FeatureConfig, QueryFeatures, TextCSR, counts_csr
 
 DATE_DIM = 3
 
@@ -86,10 +86,10 @@ def init_params(
     seed: int,
     num_users: int,
     num_businesses: int,
-    k: int = 32,
-    use_text: bool = True,
-    use_date: bool = True,
-    text_buckets: int = 4096,
+    k: int,
+    use_text: bool = FeatureConfig.use_text,
+    use_date: bool = FeatureConfig.use_date,
+    text_buckets: int = FeatureConfig.text_hash_buckets,
     dtype=np.float32,
 ) -> ModelParams:
     """Seeded init: weights/embeddings uniform +-1/sqrt(fan_in), biases zero.

@@ -11,7 +11,7 @@ differences in float64.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -19,6 +19,7 @@ import numpy as np
 
 from .features import (
     CandidateFeatures,
+    FeatureConfig,
     FeatureSpace,
     QueryFeatures,
     aggregate_candidates,
@@ -27,7 +28,7 @@ from .features import (
     star_labels,
     sum_candidates,
 )
-from .corpus import InteractionRecord
+from .corpus import InteractionRecord, days_from_date
 from .model import (
     CandidateBlock,
     ModelParams,
@@ -51,13 +52,15 @@ class LossWeights:
     retrieval: float = 0.5
 
     def __post_init__(self):
-        if self.rating < 0 or self.retrieval < 0 or self.rating + self.retrieval <= 0:
-            raise ValueError("weights must be non-negative with positive sum")
+        if not (0 <= self.rating < math.inf and 0 <= self.retrieval < math.inf):
+            raise ValueError(f"weights must be finite and at least 0: {self}")
+        if self.rating + self.retrieval <= 0:
+            raise ValueError(f"weights must have a positive sum: {self}")
 
 
 @dataclass
 class TrainConfig:
-    weights: LossWeights = field(default_factory=LossWeights)
+    weights: LossWeights = LossWeights()  # frozen, so one shared default is safe
     batch_size: int = 256
     epochs: int = 20
     seed: int = 0
@@ -68,8 +71,12 @@ class TrainConfig:
     embed_dim: int = 32
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be >= 1")
+        for name, low in (("batch_size", 1), ("epochs", 1), ("embed_dim", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}: {getattr(self, name)}")
+        for name in ("learning_rate", "epsilon"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and greater than 0: {getattr(self, name)}")
         if self.schedule not in ("joint", "two_phase"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.softmax_mode not in ("full_corpus", "in_batch"):
@@ -362,9 +369,6 @@ def _build_tiny_setup(seed: int) -> tuple[ModelParams, Batch]:
     """A small randomized model and batch for gradient verification:
     k=4, 6 users, 5 businesses, text and date features on, batch of 8.
     """
-    from .corpus import days_from_date
-    from .features import FeatureConfig
-
     rng = np.random.default_rng(seed)
     base = days_from_date("2016-01-01")
     records = []
@@ -444,9 +448,8 @@ class AdagradState:
     epsilon: float
 
     @classmethod
-    def init(
-        cls, params: ModelParams, learning_rate: float = 1e-3, epsilon: float = 1e-7
-    ) -> "AdagradState":
+    def init(cls, params: ModelParams, learning_rate: float = TrainConfig.learning_rate,
+             epsilon: float = TrainConfig.epsilon) -> "AdagradState":
         """Every accumulator starts at 0.1."""
         acc = {n: np.full_like(t, params.dtype.type(0.1)) for n, t in params.tensors.items()}
         return cls(accumulators=acc, learning_rate=learning_rate, epsilon=epsilon)

@@ -18,9 +18,17 @@ from poirec.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from poirec.cli import _CONFIG_SPEC, ConfigError, main, parse_config_text
+from poirec.cli import (
+    _CONFIG_SPEC,
+    ConfigError,
+    _feature_config,
+    _train_config,
+    main,
+    parse_config_text,
+)
 from poirec.corpus import InteractionRecord, days_from_date, serialize_record
-from poirec.features import Vocabulary, hash_token
+from poirec.features import FeatureConfig, Vocabulary, hash_token
+from poirec.training import LossWeights, TrainConfig
 from _synth import latent_factor_corpus
 
 
@@ -197,6 +205,37 @@ BAD_CONFIG_VALUES = [
     ("split_ratio", "1.5"), ("split_ratio", "0"), ("split_ratio", "1"),
     ("eval_ks", "10,abc"), ("eval_ks", "0"), ("eval_ks", ","),
 ]
+
+
+# The library type and field that hold each key's default and range.
+OWNERS = {
+    "use_text": (FeatureConfig, "use_text"),
+    "use_date": (FeatureConfig, "use_date"),
+    "text_hash_buckets": (FeatureConfig, "text_hash_buckets"),
+    "rating_weight": (LossWeights, "rating"),
+    "retrieval_weight": (LossWeights, "retrieval"),
+    **{key: (TrainConfig, key) for key in (
+        "embed_dim", "batch_size", "epochs", "seed", "schedule", "softmax_mode",
+        "learning_rate", "epsilon")},
+}
+
+
+class TestLibraryAndCliAgree:
+    @pytest.mark.parametrize("key, value", [kv for kv in BAD_CONFIG_VALUES if kv[0] in OWNERS])
+    def test_owner_rejects_the_bad_value(self, key, value):
+        owner, name = OWNERS[key]
+        with pytest.raises(ValueError):
+            owner(**{name: _CONFIG_SPEC[key][0](value)})
+
+    @pytest.mark.parametrize("key", list(OWNERS))
+    def test_default_is_the_owners(self, key):
+        owner, name = OWNERS[key]
+        assert _CONFIG_SPEC[key][1] == getattr(owner(), name)
+
+    def test_empty_config_builds_the_default_types(self):
+        cfg = parse_config_text("")
+        assert _feature_config(cfg) == FeatureConfig()
+        assert _train_config(cfg) == TrainConfig()
 
 
 class TestConfigValidation:
