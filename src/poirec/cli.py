@@ -307,7 +307,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     # No interaction context exists at recommendation time: date slots zero.
     query = QueryFeatures(user_index=space.user_vocab.lookup(args.user_id))
     u = model.user_encode(query, params, task="retrieval")
-    scores = cand_emb @ u
+    scores = model.require_finite(cand_emb @ u, "retrieval scores")
     order = np.argsort(-scores, kind="stable")
     order = order[order != 0]  # index 0 is the OOV bucket, not a business
     for rank, idx in enumerate(order[: args.k], start=1):

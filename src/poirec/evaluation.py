@@ -44,6 +44,7 @@ from .model import (
     forward_candidates,
     forward_users,
     rating_predict,
+    require_finite,
     retrieval_project,
 )
 
@@ -71,8 +72,7 @@ def _true_ranks(scores: np.ndarray, true: np.ndarray) -> np.ndarray:
     sort: #(s > s_true) + #(s == s_true and j < true), so ties go to the
     lower index, exactly as `np.argsort(-row, kind="stable")` orders them.
     """
-    if not np.isfinite(scores).all():
-        raise FloatingPointError("non-finite retrieval scores")
+    require_finite(scores, "retrieval scores")
     n, m = scores.shape
     if true.size and (true.min() < 0 or true.max() >= m):
         raise ValueError(f"true index out of range for {m} candidates")
@@ -381,7 +381,7 @@ def predict_ratings(
     block = CandidateBlock.from_text(business_idx, text, space.config.text_hash_buckets)
     u = forward_users(params, QueryBlock.from_features(queries)).out
     v = forward_candidates(params, block).out
-    preds = rating_predict(params, u, v)
+    preds = require_finite(rating_predict(params, u, v), "rating predictions")
     return [(float(p), float(l)) for p, l in zip(preds, labels)]
 
 

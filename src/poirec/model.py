@@ -258,6 +258,14 @@ def rating_predict(params: ModelParams, u: np.ndarray, v: np.ndarray) -> np.ndar
     return ((u * v) @ t["rating_head.w"] + t["rating_head.b"])[:, 0]
 
 
+def require_finite(values, what: str):
+    """`values`, unless one is NaN or infinite: then FloatingPointError
+    "non-finite <what>", which the CLI reports with exit 1."""
+    if not np.isfinite(values).all():
+        raise FloatingPointError(f"non-finite {what}")
+    return values
+
+
 # ---------------------------------------------------------------------------
 # Single-example contract surface.
 # ---------------------------------------------------------------------------

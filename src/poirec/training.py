@@ -38,6 +38,7 @@ from .model import (
     forward_users,
     init_params,
     rating_predict,
+    require_finite,
     retrieval_project,
 )
 
@@ -576,8 +577,7 @@ def train(
         for batch in _iter_batches(inputs, order, config):
             l_rat, l_ret, grads = loss_and_gradients(batch, params, weights, frozen)
             joint = weights.rating * l_rat + weights.retrieval * l_ret
-            if not math.isfinite(joint):
-                raise FloatingPointError(f"non-finite loss at epoch {epoch}")
+            require_finite(joint, f"loss at epoch {epoch}")
             adagrad_step(params, grads, state)
             sums += (l_rat, l_ret)
             batches += 1

@@ -453,9 +453,30 @@ class TestEvaluate:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: non-finite")
 
+    def test_non_finite_rating_head_fails_cleanly(self, checkpoint_file, corpus_file,
+                                                  tmp_path, capsys):
+        broken = _with_nan(checkpoint_file, tmp_path, "rating_head.w")
+        report = tmp_path / "r.txt"
+        rc = main(["evaluate", "--checkpoint", str(broken), "--corpus", str(corpus_file),
+                   "--report", str(report)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: non-finite rating predictions")
+        assert captured.out == "" and not report.exists()
+
 
 def _without(tensors, name):
     return {n: t for n, t in tensors.items() if n != name}
+
+
+def _with_nan(checkpoint_file, tmp_path, name):
+    """A copy of the checkpoint with one NaN in tensor `name`."""
+    tensors, users, businesses, echo = load_checkpoint(checkpoint_file)
+    tensor = tensors[name].copy()
+    tensor.flat[0] = np.nan
+    broken = tmp_path / "nan.ckpt"
+    save_checkpoint(broken, {**tensors, name: tensor}, users, businesses, echo)
+    return broken
 
 
 # Each fault and the (tensors, echo) -> (tensors, echo) edit that plants it.
@@ -514,6 +535,15 @@ class TestRecommend:
                    "--user-id", "no-such-user", "--k", "3"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_non_finite_score_fails_cleanly(self, checkpoint_file, corpus_file, tmp_path, capsys):
+        broken = _with_nan(checkpoint_file, tmp_path, "retrieval_head.user.w")
+        user = json.loads(corpus_file.read_text().splitlines()[0])["user_id"]
+        rc = main(["recommend", "--checkpoint", str(broken), "--user-id", user, "--k", "3"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: non-finite retrieval scores")
+        assert captured.out == ""
 
 
 class TestGradcheck:
