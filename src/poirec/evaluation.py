@@ -298,16 +298,14 @@ def mnb_classify(
 
 def mnb_train(
     documents: Sequence[tuple[Mapping[int, int], int]],
+    vocab_size: int,
     alpha: float = 1.0,
-    vocab_size: Optional[int] = None,
 ) -> MnbModel:
-    """`mnb_fit` on (bucket -> count, star class) pairs; vocab_size
-    defaults to 1 + the largest bucket seen."""
+    """`mnb_fit` on (bucket -> count, star class) pairs over a hashed
+    vocabulary of vocab_size buckets."""
     if len(documents) == 0:
         raise EmptyInput("no training documents")
     indptr, buckets, counts = counts_csr([d for d, _ in documents])
-    if vocab_size is None:
-        vocab_size = 1 + int(buckets.max(initial=0))
     return mnb_fit([s for _, s in documents], indptr, buckets, counts, vocab_size, alpha)
 
 

@@ -425,8 +425,8 @@ class TestMnb:
 
     def test_no_documents_raises(self):
         with pytest.raises(EmptyInput):
-            mnb_train([])
+            mnb_train([], vocab_size=2)
 
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
-            mnb_train([({0: 1}, 1)], alpha=0.0)
+            mnb_train([({0: 1}, 1)], vocab_size=1, alpha=0.0)
