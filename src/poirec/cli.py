@@ -380,8 +380,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ConfigError,
         ckpt.CheckpointError,
         evaluation.EmptyInput,
-        FileNotFoundError,
         FloatingPointError,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,9 +11,9 @@ differences in float64.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -263,10 +263,11 @@ def _rating_backward(
     )
 
 
-def _retrieval_backward(
+def _retrieval_head_backward(
     batch: Batch, params: ModelParams, cache: tuple, weight: float, grads: dict
-) -> None:
-    """Add `weight` times the retrieval loss gradient to `grads`."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Add `weight` times the retrieval loss gradient of the retrieval head to
+    `grads`; return the gradients w.r.t. the user and candidate tower outputs."""
     q, c, ur, vr, exp, z = cache
     t = params.tensors
     n = len(z)
@@ -279,22 +280,17 @@ def _retrieval_backward(
     grads["retrieval_head.user.b"] += d_ur.sum(axis=0)
     grads["retrieval_head.item.w"] += c.out.T @ d_vr
     grads["retrieval_head.item.b"] += d_vr.sum(axis=0)
-    d_u = d_ur @ t["retrieval_head.user.w"].T
-    d_v = d_vr @ t["retrieval_head.item.w"].T
-    _towers_backward(params, grads, batch.query_block, q, d_u, batch.softmax_block, c, d_v)
+    return d_ur @ t["retrieval_head.user.w"].T, d_vr @ t["retrieval_head.item.w"].T
 
 
 def loss_and_gradients(
-    batch: Batch,
-    params: ModelParams,
-    weights: LossWeights,
-    frozen: frozenset[str] | set[str] = frozenset(),
+    batch: Batch, params: ModelParams, weights: LossWeights
 ) -> tuple[float, float, dict[str, np.ndarray]]:
-    """(rating loss, retrieval loss, gradients of the joint loss).
+    """(rating loss, retrieval loss, gradients of the joint loss for every
+    tensor).
 
-    Frozen tensors receive exactly-zero gradients. A task with zero
-    weight is skipped entirely (its loss reads 0), so tensors only it
-    touches stay at zero.
+    A task with zero weight is skipped entirely (its loss reads 0), so
+    tensors only it touches stay at zero.
     """
     grads = params.zeros_like_tensors()
     l_rating = l_retrieval = 0.0
@@ -303,20 +299,14 @@ def loss_and_gradients(
         _rating_backward(batch, params, cache, weights.rating, grads)
     if weights.retrieval != 0.0:
         l_retrieval, cache = _retrieval_forward(batch, params)
-        _retrieval_backward(batch, params, cache, weights.retrieval, grads)
-    for name in frozen:
-        if name in grads:
-            grads[name][...] = 0.0
+        d_u, d_v = _retrieval_head_backward(batch, params, cache, weights.retrieval, grads)
+        q, c = cache[:2]
+        _towers_backward(params, grads, batch.query_block, q, d_u, batch.softmax_block, c, d_v)
     return l_rating, l_retrieval, grads
 
 
-def gradients(
-    batch: Batch,
-    params: ModelParams,
-    weights: LossWeights,
-    frozen: frozenset[str] | set[str] = frozenset(),
-) -> dict[str, np.ndarray]:
-    return loss_and_gradients(batch, params, weights, frozen)[2]
+def gradients(batch: Batch, params: ModelParams, weights: LossWeights) -> dict[str, np.ndarray]:
+    return loss_and_gradients(batch, params, weights)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -459,15 +449,15 @@ class AdagradState:
 def adagrad_step(
     params: ModelParams, grads: dict[str, np.ndarray], state: AdagradState
 ) -> tuple[ModelParams, AdagradState]:
-    """In-place update: acc += g^2; p -= lr * g / (sqrt(acc) + eps)."""
+    """In-place update of each tensor that `grads` names:
+    acc += g^2; p -= lr * g / (sqrt(acc) + eps). Other tensors are untouched."""
     dt = params.dtype
     lr = dt.type(state.learning_rate)
     eps = dt.type(state.epsilon)
-    for name, tensor in params.tensors.items():
-        g = grads[name]
+    for name, g in grads.items():
         acc = state.accumulators[name]
         acc += g * g
-        tensor -= lr * g / (np.sqrt(acc) + eps)
+        params.tensors[name] -= lr * g / (np.sqrt(acc) + eps)
     return params, state
 
 
@@ -540,32 +530,15 @@ def _iter_batches(
             yield Batch.in_batch(queries, cands, labels)
 
 
-def train(
-    inputs: TrainInputs,
-    space: FeatureSpace,
-    config: TrainConfig,
-    params: Optional[ModelParams] = None,
-    weights: Optional[LossWeights] = None,
-    frozen: frozenset[str] | set[str] = frozenset(),
-) -> tuple[ModelParams, list[EpochTrace]]:
-    """Seeded mini-batch Adagrad over the train partition.
-
-    Deterministic for a fixed seed: init, shuffling and update order all
-    come from the same seeded generator. Per-epoch losses are averages of
-    the batch losses seen before each update.
-    """
-    if params is None:
-        params = init_params(
-            seed=config.seed,
-            num_users=space.num_users,
-            num_businesses=space.num_businesses,
-            k=config.embed_dim,
-            use_text=space.config.use_text,
-            use_date=space.config.use_date,
-            text_buckets=space.config.text_hash_buckets,
-        )
-    if weights is None:
-        weights = config.weights
+def _fit(
+    inputs: TrainInputs, config: TrainConfig, params: ModelParams,
+    step: Callable[[Batch, ModelParams, LossWeights], tuple],
+) -> list[EpochTrace]:
+    """Seeded mini-batch Adagrad at `config`'s loss weights. `step(batch,
+    params, weights)` returns a batch's rating loss, retrieval loss and the
+    gradients of the tensors it trains. Shuffling is seeded with `config.seed`,
+    and each epoch's losses average the batch losses seen before each update."""
+    weights = config.weights
     state = AdagradState.init(params, config.learning_rate, config.epsilon)
     rng = np.random.default_rng(config.seed)
     trace: list[EpochTrace] = []
@@ -575,22 +548,33 @@ def train(
         sums = np.zeros(2)
         batches = 0
         for batch in _iter_batches(inputs, order, config):
-            l_rat, l_ret, grads = loss_and_gradients(batch, params, weights, frozen)
+            l_rat, l_ret, grads = step(batch, params, weights)
             joint = weights.rating * l_rat + weights.retrieval * l_ret
             require_finite(joint, f"loss at epoch {epoch}")
             adagrad_step(params, grads, state)
             sums += (l_rat, l_ret)
             batches += 1
         mean_rat, mean_ret = sums / max(batches, 1)
-        trace.append(
-            EpochTrace(
-                epoch=epoch,
-                rating_loss=mean_rat,
-                retrieval_loss=mean_ret,
-                joint_loss=weights.rating * mean_rat + weights.retrieval * mean_ret,
-            )
-        )
-    return params, trace
+        joint = weights.rating * mean_rat + weights.retrieval * mean_ret
+        trace.append(EpochTrace(epoch, mean_rat, mean_ret, joint))
+    return trace
+
+
+def train(
+    inputs: TrainInputs, space: FeatureSpace, config: TrainConfig
+) -> tuple[ModelParams, list[EpochTrace]]:
+    """Every tensor trained from a fresh init seeded with `config.seed`, on
+    the joint loss at `config.weights`."""
+    params = init_params(
+        seed=config.seed,
+        num_users=space.num_users,
+        num_businesses=space.num_businesses,
+        k=config.embed_dim,
+        use_text=space.config.use_text,
+        use_date=space.config.use_date,
+        text_buckets=space.config.text_hash_buckets,
+    )
+    return params, _fit(inputs, config, params, loss_and_gradients)
 
 
 RETRIEVAL_HEAD_TENSORS = (
@@ -601,6 +585,17 @@ RETRIEVAL_HEAD_TENSORS = (
 )
 
 
+def _head_step(
+    batch: Batch, params: ModelParams, weights: LossWeights
+) -> tuple[float, float, dict[str, np.ndarray]]:
+    """Phase 2's step: the towers run forward only, and only the retrieval
+    head gets gradients (the rating task is off, so its loss reads 0)."""
+    loss, cache = _retrieval_forward(batch, params)
+    grads = {n: np.zeros_like(params.tensors[n]) for n in RETRIEVAL_HEAD_TENSORS}
+    _retrieval_head_backward(batch, params, cache, weights.retrieval, grads)
+    return 0.0, loss, grads
+
+
 @dataclass
 class TwoPhaseResult:
     params: ModelParams
@@ -609,17 +604,14 @@ class TwoPhaseResult:
 
 
 def two_phase_train(
-    inputs: TrainInputs,
-    space: FeatureSpace,
-    config: TrainConfig,
+    inputs: TrainInputs, space: FeatureSpace, config: TrainConfig
 ) -> TwoPhaseResult:
-    """Rating pretrain (w=1, w'=0), then retrieval finetune with the towers
-    and tables stop-gradiented: only the retrieval head trains in phase 2.
+    """Rating pretrain (w=1, w'=0), then retrieval finetune (w=0, w'=1) with
+    the towers and tables stop-gradiented: only the retrieval head trains in
+    phase 2. `config.weights` is not read.
     """
-    params, trace1 = train(inputs, space, config, weights=LossWeights(1.0, 0.0))
+    params, trace1 = train(inputs, space, replace(config, weights=LossWeights(1.0, 0.0)))
     phase1 = params.clone()
-    frozen = frozenset(params.tensors) - frozenset(RETRIEVAL_HEAD_TENSORS)
-    params, trace2 = train(
-        inputs, space, config, params=params, weights=LossWeights(0.0, 1.0), frozen=frozen
-    )
+    phase2 = replace(config, weights=LossWeights(0.0, 1.0))
+    trace2 = _fit(inputs, phase2, params, _head_step)
     return TwoPhaseResult(params=params, phase1_params=phase1, trace=trace1 + trace2)

@@ -581,6 +581,23 @@ class TestExitCodes:
         assert "--k" in captured.err and "Traceback" not in captured.err
         assert not (tmp_path / "r.txt").exists()
 
+    @pytest.mark.parametrize("command, flag", [("evaluate", "--checkpoint"), ("ingest", "--input"),
+                                               ("ingest", "--out"), ("train", "--corpus")])
+    def test_unopenable_path_is_a_clean_error(self, command, flag, checkpoint_file, corpus_file,
+                                              config_file, tmp_path, capsys):
+        """A directory where a file belongs ends in `error:` and exit 1."""
+        argv = {
+            "evaluate": ["evaluate", "--checkpoint", str(checkpoint_file), "--corpus",
+                         str(corpus_file), "--report", str(tmp_path / "r.txt")],
+            "ingest": ["ingest", "--input", str(corpus_file), "--out", str(tmp_path / "o.jsonl")],
+            "train": ["train", "--corpus", str(corpus_file), "--config", str(config_file),
+                      "--out", str(tmp_path / "m.ckpt")],
+        }[command]
+        argv[argv.index(flag) + 1] = str(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestModuleEntryPoint:
     def run(self, *args):

@@ -1,4 +1,6 @@
-"""Every name a poirec module imports is used in that module."""
+"""Every name a poirec module imports is used in that module, and every
+module-level private function or class is referenced there beyond its
+definition."""
 
 import ast
 import pathlib
@@ -31,3 +33,24 @@ def test_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private_definitions(source: str) -> list[str]:
+    tree = ast.parse(source)
+    defined = [
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    ]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in defined if name not in used]
+
+
+def test_guard_sees_a_dead_private_helper():
+    source = "def _dead():\n    pass\n\ndef _used():\n    pass\n\nclass _Kept:\n    x = _used()\n"
+    assert unreferenced_private_definitions(source) == ["_dead", "_Kept"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_helper_is_used(path):
+    assert unreferenced_private_definitions(path.read_text(encoding="utf-8")) == []

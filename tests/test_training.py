@@ -23,6 +23,7 @@ from poirec.training import (
     AdagradState,
     Batch,
     CandidateMissing,
+    EpochTrace,
     LossWeights,
     TrainConfig,
     TrainInputs,
@@ -175,14 +176,6 @@ class TestGradients:
         assert err > 1e-2
         assert worst == "rating_head.w"
 
-    def test_frozen_tensors_zero(self):
-        params, batch = tiny()
-        frozen = frozenset({"user_table", "rating_head.w"})
-        grads = gradients(batch, params, LossWeights(0.5, 0.5), frozen=frozen)
-        for name in frozen:
-            assert np.all(grads[name] == 0.0)
-        assert np.any(grads["business_table"] != 0.0)
-
     def test_zero_retrieval_weight_kills_retrieval_heads(self):
         """With w'=0 the retrieval branch is skipped: its heads get exact
         zero gradients, with no epsilon-size residue."""
@@ -239,6 +232,19 @@ class TestAdagrad:
         for name in before:
             assert np.array_equal(params.tensors[name], before[name])
 
+    def test_partial_grads_touch_only_the_named_tensors(self):
+        """A tensor missing from `grads`, and its accumulator, stay bit-unchanged."""
+        params = init_params(seed=3, num_users=3, num_businesses=3, k=2)
+        state = AdagradState.init(params, learning_rate=0.5)
+        before = {n: (t.tobytes(), state.accumulators[n].tobytes())
+                  for n, t in params.tensors.items()}
+        adagrad_step(params, {"rating_head.w": np.ones_like(params.tensors["rating_head.w"])},
+                     state)
+        for name, (tensor, acc) in before.items():
+            unchanged = (params.tensors[name].tobytes() == tensor,
+                         state.accumulators[name].tobytes() == acc)
+            assert unchanged == ((False, False) if name == "rating_head.w" else (True, True))
+
     def test_step_size_shrinks_under_repeated_gradients(self):
         params = init_params(seed=0, num_users=2, num_businesses=2, k=2, dtype=np.float64)
         params.tensors = {"user_table": np.array([0.0])}
@@ -277,6 +283,30 @@ def texted_records(use_text=True):
     return records, space
 
 
+def full_stop_gradient_phase_two(inputs, config, params):
+    """Phase 2 the long way, trained in place on `params`: the joint step at
+    weights (0, 1), every gradient but the retrieval head's zeroed, and
+    Adagrad over every tensor. Returns the epoch lines."""
+    weights = LossWeights(0.0, 1.0)
+    state = AdagradState.init(params, config.learning_rate, config.epsilon)
+    rng = np.random.default_rng(config.seed)
+    lines = []
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(len(inputs.queries))
+        sums, batches = np.zeros(2), 0
+        for batch in _iter_batches(inputs, order, config):
+            l_rat, l_ret, grads = loss_and_gradients(batch, params, weights)
+            for name, g in grads.items():
+                if name not in RETRIEVAL_HEAD_TENSORS:
+                    g[...] = 0.0
+            adagrad_step(params, grads, state)
+            sums += (l_rat, l_ret)
+            batches += 1
+        rat, ret = sums / batches
+        lines.append(EpochTrace(epoch, rat, ret, 0.0 * rat + 1.0 * ret).line())
+    return lines
+
+
 class TestTrainLoop:
     def test_determinism_bit_identical(self):
         inputs, space = small_inputs()
@@ -301,19 +331,35 @@ class TestTrainLoop:
         _, trace = train(inputs, space, cfg)
         assert trace[-1].joint_loss < trace[0].joint_loss
 
-    def test_frozen_tensors_never_move(self):
-        inputs, space = small_inputs()
-        cfg = TrainConfig(batch_size=32, epochs=2, seed=0, embed_dim=4)
-        params = init_params(
-            seed=cfg.seed, num_users=len(space.user_vocab), num_businesses=len(space.business_vocab),
-            k=4, text_buckets=space.config.text_hash_buckets,
-        )
-        before = {n: params.tensors[n].copy() for n in ("user_table", "rating_head.w")}
-        trained, _ = train(
-            inputs, space, cfg, params=params, frozen=frozenset(before),
-        )
-        for name, t in before.items():
-            assert np.array_equal(trained.tensors[name], t)
+    @pytest.mark.parametrize("mode", ["in_batch", "full_corpus"])
+    def test_phase_two_equals_the_full_stop_gradient(self, mode, monkeypatch):
+        """Phase 2 gives the parameter bytes and epoch lines of the full
+        stop-gradient (a joint step at weights (0, 1), every gradient but the
+        retrieval head's zeroed, Adagrad over every tensor), and runs no
+        backward through the towers."""
+        records, space = texted_records()
+        inputs = TrainInputs.from_records(records, space)
+        cfg = TrainConfig(batch_size=16, epochs=2, seed=3, embed_dim=4, learning_rate=0.05,
+                          schedule="two_phase", softmax_mode=mode)
+        phase1, trace1 = train(inputs, space, replace(cfg, weights=LossWeights(1.0, 0.0)))
+        want = phase1.clone()
+        want_lines = [e.line() for e in trace1] + full_stop_gradient_phase_two(inputs, cfg, want)
+
+        calls = Counter()
+        for name in ("loss_and_gradients", "_towers_backward"):
+            real = getattr(training, name)
+            monkeypatch.setattr(training, name,
+                                lambda *a, _real=real, _name=name: calls.update([_name]) or _real(*a))
+        result = two_phase_train(inputs, space, cfg)
+
+        assert [e.line() for e in result.trace] == want_lines
+        for name, t in want.tensors.items():
+            got = result.params.tensors[name]
+            assert got.dtype == t.dtype and got.tobytes() == t.tobytes(), name
+        assert any(not np.array_equal(phase1.tensors[n], want.tensors[n])
+                   for n in RETRIEVAL_HEAD_TENSORS)
+        phase1_batches = cfg.epochs * math.ceil(len(records) / cfg.batch_size)
+        assert calls == {"loss_and_gradients": phase1_batches, "_towers_backward": phase1_batches}
 
     def test_two_phase_freezes_everything_but_retrieval_heads(self):
         inputs, space = small_inputs()
@@ -356,8 +402,6 @@ class TestTrainLoop:
             predict_ratings(params, records, space, label_scale="Normalized")
 
     def test_trace_line_format(self):
-        from poirec.training import EpochTrace
-
         e = EpochTrace(epoch=3, rating_loss=1.5, retrieval_loss=2.25, joint_loss=1.875)
         assert e.line() == "epoch 3 rating 1.500000 retrieval 2.250000 joint 1.875000"
 
