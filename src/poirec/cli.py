@@ -274,12 +274,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    params, _, space, cfg = _load_model(args.checkpoint)
+    params, candidates, space, cfg = _load_model(args.checkpoint)
     corpus = _load_corpus_file(args.corpus)
     split = corpus_mod.temporal_split(corpus, cfg["split_ratio"])
     ks = args.k or _k_list(cfg["eval_ks"])
     report = evaluation.evaluate(
         params,
+        candidates,
         corpus,
         split,
         space,

@@ -9,13 +9,13 @@ business index, and reads every K from those ranks. The OOV entry, index
 business unseen in training (a cold-start target) is a miss at every K;
 `poirec recommend` never lists index 0 either.
 
-`evaluate` tokenizes each train and test review once, with
-`features.encode_texts`, and only when text features or the baseline need
-it. From those arrays come the test reviews' candidate block, the corpus
-block (one row per business, its train reviews' bucket counts summed) and
-the baseline's counts, which it fits with `np.bincount` over all
-`mnb_buckets` buckets. `mnb_train` and `mnb_predict`, which take
-bucket -> count dicts, are thin adapters over `mnb_fit` and `mnb_classify`.
+`evaluate` ranks against the candidate embeddings it is given, the ones
+`train` stores in the checkpoint and `recommend` serves. It tokenizes each
+test review once, with `features.encode_texts`, when text features or the
+baseline need it, and the train reviews only for the baseline, which it
+fits with `np.bincount` over all `mnb_buckets` buckets. `mnb_train` and
+`mnb_predict`, which take bucket -> count dicts, are thin adapters over
+`mnb_fit` and `mnb_classify`.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .model import (
 )
 
 NUM_CLASSES = 5
+MNB_SAMPLE = 1000  # test reviews the baseline's confusion matrix is drawn from
 
 
 class EmptyInput(Exception):
@@ -90,10 +91,12 @@ def top_k_hits(scores: np.ndarray, true_index: int, k: int) -> bool:
 def retrieval_ranks(
     queries: Sequence[QueryFeatures],
     true_indices: Sequence[int],
-    candidates: Sequence[CandidateFeatures] | CandidateBlock,
+    candidates: np.ndarray,
     params: ModelParams,
 ) -> np.ndarray:
-    """0-based rank of each query's true candidate among all candidates.
+    """0-based rank of each query's true candidate among the rows of
+    `candidates`, the [m, k] retrieval-side embeddings that
+    `candidate_embeddings` gives.
 
     One score matrix serves every K: a query hits at K when its rank is
     below K. Non-finite scores raise FloatingPointError.
@@ -105,8 +108,7 @@ def retrieval_ranks(
     ur = retrieval_project(
         params, "user", forward_users(params, QueryBlock.from_features(queries)).out
     )
-    vr = candidate_embeddings(params, candidates)
-    ranks = _true_ranks(ur @ vr.T, np.asarray(true_indices, dtype=np.int64))
+    ranks = _true_ranks(ur @ candidates.T, np.asarray(true_indices, dtype=np.int64))
     return ranks.astype(np.int64, copy=False)
 
 
@@ -124,7 +126,8 @@ def top_k_accuracy(
     k: int,
 ) -> float:
     """Fraction of queries whose true candidate ranks in the top k."""
-    return _accuracy_at(retrieval_ranks(queries, true_indices, candidates, params), k)
+    vr = candidate_embeddings(params, candidates)
+    return _accuracy_at(retrieval_ranks(queries, true_indices, vr, params), k)
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +388,7 @@ def predict_ratings(
 
 def evaluate(
     params: ModelParams,
+    candidates: np.ndarray,
     corpus: Corpus,
     split: TemporalSplit,
     space: FeatureSpace,
@@ -394,51 +398,40 @@ def evaluate(
     retrieval_weight: Optional[float] = None,
     mnb: bool = False,
     mnb_buckets: int = 1 << 15,
-    mnb_sample: int = 1000,
     seed: int = 0,
 ) -> MetricsReport:
     """Rating RMSE and top-K retrieval accuracy on the test partition.
 
-    With mnb=True, also fits the stars-from-text baseline on train reviews
-    and attaches its confusion matrix over a seeded test sample.
+    Ranks against `candidates`, the [V, k] retrieval-side embeddings that
+    `train` stores (row i is business index i; row 0, the OOV entry, is
+    never ranked). With mnb=True, also fits the stars-from-text baseline on
+    train reviews and attaches its confusion matrix over a seeded sample of
+    at most MNB_SAMPLE test reviews.
     """
+    if candidates.shape != (space.num_businesses, params.k):
+        raise ValueError(f"candidates {candidates.shape}, not {(space.num_businesses, params.k)}")
     test_records = [corpus.records[i] for i in split.test]
     if not test_records:
         raise EmptyInput("empty test partition")
-    train_records = [corpus.records[i] for i in split.train]
 
-    use_text = space.config.use_text
-    train_text = test_text = None
-    if use_text or mnb:
-        train_text = encode_texts(r.text for r in train_records)
+    test_text = None
+    if space.config.use_text or mnb:
         test_text = encode_texts(r.text for r in test_records)
+    error = rmse(predict_ratings(params, test_records, space, label_scale, test_text))
 
-    # Peak memory depends on this order. The corpus block's arrays are built
-    # before any pooling matrix, so the corpus block's matrix, built while
-    # ranking, can reuse the memory of the test block's, freed after
-    # predict_ratings; `del` frees it before the MNB fit.
-    # Row i of the corpus block is business i + 1; train reviews are never OOV.
     lookup = space.business_vocab.lookup
-    corpus_block = CandidateBlock.from_text(
-        np.arange(1, space.num_businesses),
-        train_text if use_text else None,
-        space.config.text_hash_buckets,
-        row_of=[lookup(r.business_id) - 1 for r in train_records],
-    )
-    pairs = predict_ratings(params, test_records, space, label_scale, test_text)
-    error = rmse(pairs)
-
     true_idx = np.array([lookup(r.business_id) for r in test_records], dtype=np.int64)
     known = np.flatnonzero(true_idx > 0)
     ranks = np.full(len(test_records), np.iinfo(np.int64).max)  # cold start: a miss at every K
     if known.size:
         queries = [encode_query(test_records[i], space) for i in known]
-        ranks[known] = retrieval_ranks(queries, true_idx[known] - 1, corpus_block, params)
-    del corpus_block
+        ranks[known] = retrieval_ranks(queries, true_idx[known] - 1, candidates[1:], params)
     top_k = {int(k): _accuracy_at(ranks, int(k)) for k in ks}
 
     confusion = None
     if mnb:
+        train_records = [corpus.records[i] for i in split.train]
+        train_text = encode_texts(r.text for r in train_records)
         # The hashed vocabulary is the whole bucket space, so a test review
         # may hold buckets no train review has.
         model = mnb_fit(
@@ -450,7 +443,7 @@ def evaluate(
         )
         rng = np.random.default_rng(seed)
         n = len(test_records)
-        sample_idx = np.sort(rng.choice(n, size=min(mnb_sample, n), replace=False))
+        sample_idx = np.sort(rng.choice(n, size=min(MNB_SAMPLE, n), replace=False))
         predicted = mnb_classify(model, *test_text.bucket_rows(mnb_buckets), sample_idx)
         confusion = confusion_matrix(
             [test_records[i].stars for i in sample_idx], predicted.tolist()

@@ -40,6 +40,8 @@ class Vocabulary:
     def __init__(self, ids: Iterable[str] = ()):  # ids in index order, 1..V-1
         self.ids: list[str] = ["", *ids]
         self._index: dict[str, int] = dict(zip(self.ids[1:], range(1, len(self.ids))))
+        if "" in self._index:
+            raise ValueError("empty id: the empty string is the OOV entry")
         if len(self._index) != len(self.ids) - 1:
             seen = Counter(self.ids[1:])
             raise ValueError(f"duplicate id {next(i for i, n in seen.items() if n > 1)!r}")
@@ -181,33 +183,22 @@ class TextCSR:
             raise ValueError("buckets must be >= 2")
         return (self.h64 % np.uint64(buckets)).astype(np.int64)[self.token_ids]
 
-    def bucket_rows(
-        self,
-        buckets: int,
-        row_of: Optional[Sequence[int]] = None,
-        num_rows: Optional[int] = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def bucket_rows(self, buckets: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Hashed bag-of-words rows as CSR (indptr, buckets, counts), int64.
 
-        Row i merges review i, or every review r with row_of[r] == i:
-        equal buckets sum their counts, and a row's buckets keep their
-        order of first appearance, reviews taken in order. Review r's row
-        is `text_bucket_counts(text_r, buckets)`; a row per business sums
-        that business's reviews as `aggregate_candidates` does.
+        Row r is `text_bucket_counts(text_r, buckets)`: tokens that share a
+        bucket sum their counts, and the buckets keep their order of first
+        appearance.
         """
         rows = np.repeat(np.arange(len(self), dtype=np.int64), np.diff(self.indptr))
-        if row_of is not None:
-            rows = np.asarray(row_of, dtype=np.int64)[rows]
-        if num_rows is None:
-            num_rows = len(self)
         keys, first, inverse = np.unique(
             rows * buckets + self.buckets(buckets), return_index=True, return_inverse=True
         )
         sums = np.bincount(inverse, weights=self.counts, minlength=len(keys)).astype(np.int64)
         key_rows = keys // buckets
         order = np.lexsort((first, key_rows))
-        indptr = np.zeros(num_rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(key_rows, minlength=num_rows), out=indptr[1:])
+        indptr = np.zeros(len(self) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key_rows, minlength=len(self)), out=indptr[1:])
         return indptr, (keys % buckets)[order], sums[order]
 
 

@@ -159,23 +159,18 @@ class CandidateBlock:
 
     @classmethod
     def from_text(
-        cls,
-        business_idx: Sequence[int],
-        text: Optional[TextCSR],
-        num_buckets: int,
-        row_of: Optional[Sequence[int]] = None,
+        cls, business_idx: Sequence[int], text: Optional[TextCSR], num_buckets: int
     ) -> "CandidateBlock":
         """Row i is business business_idx[i] with the hashed text of review
-        i or, given row_of, of every review r with row_of[r] == i (see
-        `TextCSR.bucket_rows`); no text when `text` is None."""
+        i (see `TextCSR.bucket_rows`); no text when `text` is None."""
         business_idx = np.asarray(business_idx, dtype=np.int64)
         m = len(business_idx)
         if text is None:
             return cls(business_idx, np.zeros(m + 1, dtype=np.int64),
                        np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
-        if row_of is None and len(text) != m:
+        if len(text) != m:
             raise ValueError(f"{len(text)} reviews for {m} candidates")
-        indptr, buckets, counts = text.bucket_rows(num_buckets, row_of, m)
+        indptr, buckets, counts = text.bucket_rows(num_buckets)
         return cls(business_idx, indptr, buckets, counts.astype(np.float64))
 
     def __len__(self) -> int:

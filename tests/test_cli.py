@@ -26,7 +26,13 @@ from poirec.cli import (
     main,
     parse_config_text,
 )
-from poirec.corpus import InteractionRecord, days_from_date, serialize_record
+from poirec.corpus import (
+    InteractionRecord,
+    days_from_date,
+    load_corpus,
+    serialize_record,
+    temporal_split,
+)
 from poirec.features import FeatureConfig, Vocabulary, hash_token
 from poirec.training import LossWeights, TrainConfig
 from _synth import latent_factor_corpus
@@ -140,8 +146,9 @@ class TestCheckpointFormat:
         with pytest.raises(CorruptFile):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("old, new", [(b"b2", b"b1"), (b"u1", b"\xff1")],
-                             ids=["duplicate-id", "invalid-utf8-id"])
+    @pytest.mark.parametrize("old, new", [(b"b2", b"b1"), (b"u1", b"\xff1"),
+                                          (b"\x02\x00\x00\x00b2", b"\x00\x00\x00\x00")],
+                             ids=["duplicate-id", "invalid-utf8-id", "empty-id"])
     def test_bad_vocabulary_id_is_a_clean_error(self, old, new, tmp_path, capsys):
         path = tmp_path / "c.ckpt"
         self.make(path)
@@ -386,6 +393,26 @@ class TestEvaluate:
                          "--corpus", str(corpus_file), "--k", "5",
                          "--report", str(report)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_ranks_the_checkpoint_candidates(self, checkpoint_file, corpus_file, tmp_path,
+                                             capsys):
+        """Zeroing the saved candidate embeddings ties every score, so a
+        known target at business index t ranks t - 1, and top-K is the share
+        of test reviews whose business index is 1..K."""
+        tensors, users, businesses, echo = load_checkpoint(checkpoint_file)
+        zeroed = tmp_path / "zero.ckpt"
+        zero = np.zeros_like(tensors["aux.candidate_embeddings"])
+        save_checkpoint(zeroed, {**tensors, "aux.candidate_embeddings": zero}, users,
+                        businesses, echo)
+        with open(corpus_file, encoding="utf-8") as f:
+            corpus = load_corpus(f)
+        test = [corpus.records[i] for i in temporal_split(corpus, 0.9).test]
+        index = [businesses.lookup(r.business_id) for r in test]
+        assert main(["evaluate", "--checkpoint", str(zeroed), "--corpus", str(corpus_file),
+                     "--k", "1", "--k", "3", "--k", "5", "--report", str(tmp_path / "r.txt")]) == 0
+        out = capsys.readouterr().out
+        for k in (1, 3, 5):
+            assert f"top_k.{k}={sum(0 < t <= k for t in index) / len(test):.6f}\n" in out
 
     def test_mnb_section_optional(self, checkpoint_file, corpus_file, tmp_path):
         with_mnb = tmp_path / "a.txt"

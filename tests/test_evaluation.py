@@ -38,6 +38,7 @@ from poirec.features import (
 from poirec.model import (
     CandidateBlock,
     QueryBlock,
+    candidate_embeddings,
     forward_candidates,
     forward_users,
     init_params,
@@ -152,7 +153,7 @@ class TestRetrievalRanks:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(evaluation, "retrieval_project", lambda p, side, out: scores)
             mp.setattr(evaluation, "candidate_embeddings", lambda p, c: np.eye(m))
-            ranks = retrieval_ranks(queries, true, cands, params)
+            ranks = retrieval_ranks(queries, true, np.eye(m), params)
             want = [_stable_argsort_rank(row, t) for row, t in zip(scores, true)]
             assert ranks.dtype == np.int64
             assert ranks.tolist() == want
@@ -167,7 +168,7 @@ class TestRetrievalRanks:
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            retrieval_ranks([QueryFeatures(0)], [0, 1], [CandidateFeatures(0)], None)
+            retrieval_ranks([QueryFeatures(0)], [0, 1], np.zeros((1, 2)), None)
 
 
 def reviewed_corpus(seed=6):
@@ -196,10 +197,12 @@ class TestEvaluateEncodesText:
         self.params = init_params(seed=3, num_users=self.space.num_users,
                                   num_businesses=self.space.num_businesses, k=4,
                                   use_text=use_text, text_buckets=16)
+        self.candidates = candidate_embeddings(
+            self.params, aggregate_candidates(self.train, self.space))
 
     def evaluate(self, mnb):
-        return evaluate(self.params, self.corpus, self.split, self.space, ks=(5, 20),
-                        mnb=mnb, mnb_buckets=self.MNB_BUCKETS, mnb_sample=40, seed=9)
+        return evaluate(self.params, self.candidates, self.corpus, self.split, self.space,
+                        ks=(5, 20), mnb=mnb, mnb_buckets=self.MNB_BUCKETS, seed=9)
 
     def counted(self, monkeypatch):
         calls = {"tokenize_text": [], "text_bucket_counts": []}
@@ -223,35 +226,46 @@ class TestEvaluateEncodesText:
         self.evaluate(mnb=False)
         assert calls == {"tokenize_text": [], "text_bucket_counts": []}
 
-    def test_report_equals_per_review_oracles(self):
-        """The report from the per-review dict paths: `encode_candidate`
-        blocks, `aggregate_candidates`, `mnb_train` and `mnb_predict`."""
+    def test_text_without_mnb_tokenizes_only_test_reviews(self, monkeypatch):
+        """The candidates come from training, so no train review is read."""
         self.setup(use_text=True)
-        report = self.evaluate(mnb=True)
+        calls = self.counted(monkeypatch)
+        self.evaluate(mnb=False)
+        assert sorted(calls["tokenize_text"]) == sorted((r.text,) for r in self.test)
+        assert calls["text_bucket_counts"] == []
 
+    def test_report_equals_per_review_oracles(self, monkeypatch):
+        """The report from the per-review dict paths: `encode_candidate`
+        blocks, `aggregate_candidates`, `mnb_train` and `mnb_predict`; the
+        baseline scores every test review, or a seeded subset of them."""
+        self.setup(use_text=True)
         queries = [encode_query(r, self.space) for r in self.test]
         true = [self.space.business_vocab.lookup(r.business_id) for r in self.test]
         assert min(true) > 0  # no cold-start target: every query is ranked
         # Candidates are the businesses, without the OOV entry at index 0.
-        cands = aggregate_candidates(self.train, self.space)[1:]
+        cands = candidate_embeddings(self.params, aggregate_candidates(self.train, self.space)[1:])
         ranks = retrieval_ranks(queries, [t - 1 for t in true], cands, self.params)
         docs = [(text_bucket_counts(r.text, self.MNB_BUCKETS), r.stars) for r in self.train]
         model = mnb_train(docs, vocab_size=self.MNB_BUCKETS)
-        rng = np.random.default_rng(9)
-        sample = [self.test[i] for i in sorted(rng.choice(len(self.test), 40, replace=False))]
-        predicted = [mnb_predict(model, text_bucket_counts(r.text, self.MNB_BUCKETS))
-                     for r in sample]
-        cands = CandidateBlock.from_features([encode_candidate(r, self.space) for r in self.test])
+        block = CandidateBlock.from_features([encode_candidate(r, self.space) for r in self.test])
         u = forward_users(self.params, QueryBlock.from_features(queries)).out
-        v = forward_candidates(self.params, cands).out
+        v = forward_candidates(self.params, block).out
         stars = [r.stars for r in self.test]
-        want = MetricsReport(
-            rmse=rmse(list(zip(rating_predict(self.params, u, v), stars))),
-            top_k={k: float(np.mean(ranks < k)) for k in (5, 20)},
-            example_count=len(self.test),
-            confusion=confusion_matrix([r.stars for r in sample], predicted),
-        )
-        assert report.text() == want.text()
+        assert len(self.test) < evaluation.MNB_SAMPLE
+        for sample_size in (evaluation.MNB_SAMPLE, 40):
+            monkeypatch.setattr(evaluation, "MNB_SAMPLE", sample_size)
+            rng = np.random.default_rng(9)
+            size = min(sample_size, len(self.test))
+            sample = [self.test[i] for i in sorted(rng.choice(len(self.test), size, replace=False))]
+            predicted = [mnb_predict(model, text_bucket_counts(r.text, self.MNB_BUCKETS))
+                         for r in sample]
+            want = MetricsReport(
+                rmse=rmse(list(zip(rating_predict(self.params, u, v), stars))),
+                top_k={k: float(np.mean(ranks < k)) for k in (5, 20)},
+                example_count=len(self.test),
+                confusion=confusion_matrix([r.stars for r in sample], predicted),
+            )
+            assert self.evaluate(mnb=True).text() == want.text()
 
 
 class TestEvaluateRanksOnce:
@@ -266,13 +280,19 @@ class TestEvaluateRanksOnce:
         self.params = init_params(seed=2, num_users=self.space.num_users,
                                   num_businesses=self.space.num_businesses, k=4,
                                   text_buckets=64)
+        self.candidates = candidate_embeddings(
+            self.params, aggregate_candidates(self.train, self.space))
+
+    def evaluate(self, corpus=None, ks=KS):
+        return evaluate(self.params, self.candidates, corpus or self.corpus, self.split,
+                        self.space, ks=ks)
 
     def test_two_user_forwards_and_per_k_report(self, monkeypatch):
         calls = []
         forward_users = evaluation.forward_users
         monkeypatch.setattr(evaluation, "forward_users",
                             lambda *a: calls.append(1) or forward_users(*a))
-        report = evaluate(self.params, self.corpus, self.split, self.space, ks=self.KS)
+        report = self.evaluate()
         assert len(calls) == 2  # one for the ratings, one for every K
         monkeypatch.undo()
 
@@ -297,7 +317,7 @@ class TestEvaluateRanksOnce:
         """At K = V every known target hits and no cold-start one does."""
         v = self.space.num_businesses
         known = sum(r.business_id in self.space.business_vocab for r in self.test)
-        report = evaluate(self.params, self.corpus, self.split, self.space, ks=(v,))
+        report = self.evaluate(ks=(v,))
         assert report.top_k == {v: known / len(self.test)}
 
     def test_all_cold_targets_rank_nothing(self, monkeypatch):
@@ -307,13 +327,30 @@ class TestEvaluateRanksOnce:
             for i, r in enumerate(self.corpus.records)
         ))
         monkeypatch.setattr(evaluation, "retrieval_ranks", None)  # must not be called
-        report = evaluate(self.params, corpus, self.split, self.space, ks=self.KS)
+        report = self.evaluate(corpus)
         assert report.top_k == {k: 0.0 for k in self.KS}
 
     def test_nan_in_retrieval_head_raises(self):
         self.params.tensors["retrieval_head.item.w"][0, 0] = np.nan
+        self.candidates = candidate_embeddings(
+            self.params, aggregate_candidates(self.train, self.space))
         with pytest.raises(FloatingPointError):
-            evaluate(self.params, self.corpus, self.split, self.space, ks=self.KS)
+            self.evaluate()
+
+    def test_ranks_the_candidates_it_is_given(self):
+        """All-zero candidates tie every score, so a known target at
+        business index t ranks t - 1: it hits at K exactly when t <= K."""
+        self.candidates = np.zeros_like(self.candidates)
+        index = [self.space.business_vocab.lookup(r.business_id) for r in self.test]
+        ks = (1, 5, 20)
+        report = self.evaluate(ks=ks)
+        assert report.top_k == {k: sum(0 < t <= k for t in index) / len(self.test) for k in ks}
+        assert report.top_k[20] > 0
+
+    def test_candidates_of_another_shape_raise(self):
+        for bad in (self.candidates[1:], self.candidates[:, :-1]):
+            with pytest.raises(ValueError, match="candidates"):
+                evaluate(self.params, bad, self.corpus, self.split, self.space)
 
 
 class TestConfusion:

@@ -146,18 +146,6 @@ class TestEncodeTexts:
         got = _csr_rows(*encode_texts(texts).bucket_rows(buckets))
         assert got == [list(text_bucket_counts(t, buckets).items()) for t in texts]
 
-    @given(st.lists(st.tuples(st.text(max_size=40), st.integers(0, 3)), max_size=10),
-           st.integers(2, 64))
-    @settings(max_examples=150, deadline=None)
-    def test_merged_rows_sum_their_reviews_in_order(self, reviews, buckets):
-        want = [{} for _ in range(4)]
-        for text, row in reviews:
-            for bucket, count in text_bucket_counts(text, buckets).items():
-                want[row][bucket] = want[row].get(bucket, 0) + count
-        encoded = encode_texts(t for t, _ in reviews)
-        got = encoded.bucket_rows(buckets, row_of=[r for _, r in reviews], num_rows=4)
-        assert _csr_rows(*got) == [list(w.items()) for w in want]
-
     def test_each_distinct_token_hashed_once(self):
         encoded = encode_texts(["b a a", "", "a c b"])
         assert encoded.indptr.tolist() == [0, 2, 2, 5]

@@ -9,7 +9,6 @@ from poirec.features import (
     FeatureConfig,
     FeatureSpace,
     QueryFeatures,
-    aggregate_candidates,
     encode_candidate,
     encode_texts,
 )
@@ -311,13 +310,6 @@ class TestBlocksFromText:
         for dtype in (np.float32, np.float64):
             assert got.pooling_matrix(self.BUCKETS, dtype).tobytes() \
                 == want.pooling_matrix(self.BUCKETS, dtype).tobytes()
-
-    def test_corpus_block_equals_aggregate_candidates(self):
-        assert 0 in self.index
-        got = CandidateBlock.from_text(np.arange(self.space.num_businesses), self.text,
-                                       self.BUCKETS, row_of=self.index)
-        want = CandidateBlock.from_features(aggregate_candidates(self.records, self.space))
-        self.assert_same(got, want)
 
     def test_review_block_equals_encode_candidate(self):
         got = CandidateBlock.from_text(self.index, self.text, self.BUCKETS)
