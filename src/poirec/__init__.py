@@ -33,6 +33,7 @@ from .training import (
 )
 from .evaluation import (
     ConfusionMatrix,
+    EvalConfig,
     MetricsReport,
     confusion_matrix,
     evaluate,

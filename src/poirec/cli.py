@@ -17,7 +17,8 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import corpus as corpus_mod
 from . import evaluation, model, training
-from .features import LABEL_SCALES, FeatureConfig, FeatureSpace, QueryFeatures
+from .evaluation import EvalConfig
+from .features import FeatureConfig, FeatureSpace, QueryFeatures
 from .training import LossWeights, TrainConfig
 
 
@@ -34,39 +35,15 @@ def _parse_bool(value: str) -> bool:
     raise ConfigError(f"not a boolean: {value!r}")
 
 
-def _at_least(lo: int):
-    def check(value: int) -> None:
-        if value < lo:
-            raise ValueError(f"must be at least {lo}: {value}")
-
-    return check
-
-
-def _one_of(*choices: str):
-    def check(value: str) -> None:
-        if value not in choices:
-            raise ValueError(f"must be one of {', '.join(choices)}: {value!r}")
-
-    return check
-
-
 def _owned(parser, owner: type, name: str):
     """The spec entry of a key whose default and range `owner` holds: its
     field default, and a validator that builds an `owner` with the value."""
     return parser, getattr(owner, name), lambda value: owner(**{name: value})
 
 
-def _open_unit_interval(value: float) -> None:
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"must be strictly between 0 and 1: {value}")
-
-
-def _k_list(text: str) -> list[int]:
-    """A comma list of positive integers, such as `10,50,100`."""
-    ks = [int(part) for part in text.split(",") if part.strip()]
-    if not ks or min(ks) < 1:
-        raise ValueError(f"must be a comma list of integers >= 1: {text!r}")
-    return ks
+def _k_list(text: str) -> tuple[int, ...]:
+    """A comma list of integers, such as `10,50,100`."""
+    return tuple(int(part) for part in text.split(",") if part.strip())
 
 
 # key -> (parser, default, validator). A validator raises ValueError on a
@@ -86,10 +63,10 @@ _CONFIG_SPEC = {
     "softmax_mode": _owned(str, TrainConfig, "softmax_mode"),
     "learning_rate": _owned(float, TrainConfig, "learning_rate"),
     "epsilon": _owned(float, TrainConfig, "epsilon"),
-    "split_ratio": (float, 0.9, _open_unit_interval),
-    "eval_ks": (str, "100", _k_list),
-    "label_scale": (str, "raw", _one_of(*LABEL_SCALES)),
-    "mnb_buckets": (int, 32768, _at_least(2)),
+    "split_ratio": _owned(float, EvalConfig, "split_ratio"),
+    "eval_ks": _owned(_k_list, EvalConfig, "ks"),
+    "label_scale": _owned(str, FeatureConfig, "label_scale"),
+    "mnb_buckets": _owned(int, EvalConfig, "mnb_buckets"),
     # derived at train time, carried in the checkpoint echo
     "date_min": (int, 0, None),
     "date_max": (int, 0, None),
@@ -131,6 +108,8 @@ def config_echo(cfg: dict) -> str:
             value = "true" if value else "false"
         elif isinstance(value, float):
             value = repr(value)
+        elif isinstance(value, tuple):
+            value = ",".join(map(str, value))
         lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
@@ -151,6 +130,7 @@ def _feature_config(cfg: dict) -> FeatureConfig:
         use_text=cfg["use_text"],
         use_date=cfg["use_date"],
         text_hash_buckets=cfg["text_hash_buckets"],
+        label_scale=cfg["label_scale"],
     )
 
 
@@ -255,7 +235,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     space = FeatureSpace.build(train_records, _feature_config(cfg))
     cfg["date_min"], cfg["date_max"] = space.date_min, space.date_max
 
-    inputs = training.TrainInputs.from_records(train_records, space, cfg["label_scale"])
+    inputs = training.TrainInputs.from_records(train_records, space)
     if cfg["schedule"] == "two_phase":
         result = training.two_phase_train(inputs, space, tconfig)
         params, trace = result.params, result.trace
@@ -275,22 +255,21 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     params, candidates, space, cfg = _load_model(args.checkpoint)
-    corpus = _load_corpus_file(args.corpus)
-    split = corpus_mod.temporal_split(corpus, cfg["split_ratio"])
-    ks = args.k or _k_list(cfg["eval_ks"])
+    config = EvalConfig(
+        split_ratio=cfg["split_ratio"],
+        ks=tuple(args.k or cfg["eval_ks"]),
+        mnb_buckets=cfg["mnb_buckets"],
+    )
     report = evaluation.evaluate(
         params,
         candidates,
-        corpus,
-        split,
+        _load_corpus_file(args.corpus),
         space,
-        ks=ks,
-        label_scale=cfg["label_scale"],
+        config,
+        mnb=args.mnb,
+        seed=cfg["seed"],
         rating_weight=cfg["rating_weight"],
         retrieval_weight=cfg["retrieval_weight"],
-        mnb=args.mnb,
-        mnb_buckets=cfg["mnb_buckets"],
-        seed=cfg["seed"],
     )
     with open(args.report, "w", encoding="utf-8") as f:
         f.write(report.text())

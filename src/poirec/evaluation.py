@@ -25,7 +25,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, InteractionRecord, TemporalSplit
+from .corpus import Corpus, InteractionRecord, temporal_split
 from .features import (
     CandidateFeatures,
     FeatureSpace,
@@ -58,6 +58,24 @@ class EmptyInput(Exception):
 
 class LengthMismatch(Exception):
     pass
+
+
+@dataclass(frozen=True)
+class EvalConfig:
+    """The evaluation protocol: the train fraction of the temporal split,
+    the cut-offs of top-K accuracy and the MNB baseline's bucket count."""
+
+    split_ratio: float = 0.9
+    ks: tuple[int, ...] = (100,)
+    mnb_buckets: int = 32768
+
+    def __post_init__(self):
+        if not 0.0 < self.split_ratio < 1.0:
+            raise ValueError(f"split_ratio must be strictly between 0 and 1: {self.split_ratio}")
+        if not self.ks or min(self.ks) < 1:
+            raise ValueError(f"ks must be one or more integers >= 1: {self.ks}")
+        if self.mnb_buckets < 2:
+            raise ValueError(f"mnb_buckets must be at least 2: {self.mnb_buckets}")
 
 
 def rmse(pairs: Sequence[tuple[float, float]]) -> float:
@@ -327,7 +345,7 @@ class MetricsReport:
     rmse: float
     top_k: dict[int, float]
     example_count: int
-    label_scale: str = "raw"
+    label_scale: str
     rating_weight: Optional[float] = None
     retrieval_weight: Optional[float] = None
     confusion: Optional[ConfusionMatrix] = None
@@ -364,7 +382,6 @@ def predict_ratings(
     params: ModelParams,
     records: Sequence[InteractionRecord],
     space: FeatureSpace,
-    label_scale: str = "raw",
     text: Optional[TextCSR] = None,
 ) -> list[tuple[float, float]]:
     """(predicted, actual) rating pairs for a list of records.
@@ -372,7 +389,7 @@ def predict_ratings(
     `text` is `encode_texts` of the records' texts; when it is omitted and
     text features are on, the texts are encoded here.
     """
-    labels = star_labels(records, label_scale)
+    labels = star_labels(records, space.config)
     if not space.config.use_text:
         text = None
     elif text is None:
@@ -390,26 +407,26 @@ def evaluate(
     params: ModelParams,
     candidates: np.ndarray,
     corpus: Corpus,
-    split: TemporalSplit,
     space: FeatureSpace,
-    ks: Sequence[int] = (100,),
-    label_scale: str = "raw",
+    config: EvalConfig = EvalConfig(),  # frozen, so one shared default is safe
+    *,
+    mnb: bool = False,
+    seed: int = 0,
     rating_weight: Optional[float] = None,
     retrieval_weight: Optional[float] = None,
-    mnb: bool = False,
-    mnb_buckets: int = 1 << 15,
-    seed: int = 0,
 ) -> MetricsReport:
-    """Rating RMSE and top-K retrieval accuracy on the test partition.
+    """Rating RMSE and top-K retrieval accuracy on the test partition of
+    `corpus` split at `config.split_ratio`.
 
     Ranks against `candidates`, the [V, k] retrieval-side embeddings that
     `train` stores (row i is business index i; row 0, the OOV entry, is
     never ranked). With mnb=True, also fits the stars-from-text baseline on
-    train reviews and attaches its confusion matrix over a seeded sample of
-    at most MNB_SAMPLE test reviews.
+    train reviews and attaches its confusion matrix over a `seed`ed sample
+    of at most MNB_SAMPLE test reviews.
     """
     if candidates.shape != (space.num_businesses, params.k):
         raise ValueError(f"candidates {candidates.shape}, not {(space.num_businesses, params.k)}")
+    split = temporal_split(corpus, config.split_ratio)
     test_records = [corpus.records[i] for i in split.test]
     if not test_records:
         raise EmptyInput("empty test partition")
@@ -417,7 +434,7 @@ def evaluate(
     test_text = None
     if space.config.use_text or mnb:
         test_text = encode_texts(r.text for r in test_records)
-    error = rmse(predict_ratings(params, test_records, space, label_scale, test_text))
+    error = rmse(predict_ratings(params, test_records, space, test_text))
 
     lookup = space.business_vocab.lookup
     true_idx = np.array([lookup(r.business_id) for r in test_records], dtype=np.int64)
@@ -426,7 +443,7 @@ def evaluate(
     if known.size:
         queries = [encode_query(test_records[i], space) for i in known]
         ranks[known] = retrieval_ranks(queries, true_idx[known] - 1, candidates[1:], params)
-    top_k = {int(k): _accuracy_at(ranks, int(k)) for k in ks}
+    top_k = {int(k): _accuracy_at(ranks, int(k)) for k in config.ks}
 
     confusion = None
     if mnb:
@@ -437,14 +454,14 @@ def evaluate(
         model = mnb_fit(
             [r.stars for r in train_records],
             train_text.indptr,
-            train_text.buckets(mnb_buckets),
+            train_text.buckets(config.mnb_buckets),
             train_text.counts,
-            vocab_size=mnb_buckets,
+            vocab_size=config.mnb_buckets,
         )
         rng = np.random.default_rng(seed)
         n = len(test_records)
         sample_idx = np.sort(rng.choice(n, size=min(MNB_SAMPLE, n), replace=False))
-        predicted = mnb_classify(model, *test_text.bucket_rows(mnb_buckets), sample_idx)
+        predicted = mnb_classify(model, *test_text.bucket_rows(config.mnb_buckets), sample_idx)
         confusion = confusion_matrix(
             [test_records[i].stars for i in sample_idx], predicted.tolist()
         )
@@ -453,7 +470,7 @@ def evaluate(
         rmse=error,
         top_k=top_k,
         example_count=len(test_records),
-        label_scale=label_scale,
+        label_scale=space.config.label_scale,
         rating_weight=rating_weight,
         retrieval_weight=retrieval_weight,
         confusion=confusion,

@@ -59,15 +59,21 @@ class Vocabulary:
         return self.ids[index]
 
 
+LABEL_SCALES = ("raw", "normalized")
+
+
 @dataclass(frozen=True)
 class FeatureConfig:
     use_text: bool = True
     use_date: bool = True
     text_hash_buckets: int = 4096
+    label_scale: str = "raw"  # rating labels, see `star_labels`
 
     def __post_init__(self):
         if self.text_hash_buckets < 2:
             raise ValueError("text_hash_buckets must be >= 2")
+        if self.label_scale not in LABEL_SCALES:
+            raise ValueError(f"label_scale must be one of {LABEL_SCALES}: {self.label_scale!r}")
 
 
 @dataclass(frozen=True)
@@ -94,16 +100,11 @@ def build_vocabularies(
     return Vocabulary(users), Vocabulary(businesses)
 
 
-LABEL_SCALES = ("raw", "normalized")
-
-
-def star_labels(records: Sequence[InteractionRecord], label_scale: str) -> np.ndarray:
-    """float64 rating labels: the stars as given (`raw`) or mapped onto
-    [0, 1] as (stars - 1) / 4 (`normalized`)."""
-    if label_scale not in LABEL_SCALES:
-        raise ValueError(f"label_scale must be one of {', '.join(LABEL_SCALES)}: {label_scale!r}")
+def star_labels(records: Sequence[InteractionRecord], config: FeatureConfig) -> np.ndarray:
+    """float64 rating labels at `config.label_scale`: the stars as given
+    (`raw`) or mapped onto [0, 1] as (stars - 1) / 4 (`normalized`)."""
     labels = np.array([float(r.stars) for r in records], dtype=np.float64)
-    if label_scale == "normalized":
+    if config.label_scale == "normalized":
         labels = (labels - 1.0) / 4.0
     return labels
 

@@ -501,12 +501,9 @@ class TrainInputs:
 
     @classmethod
     def from_records(
-        cls,
-        records: Sequence[InteractionRecord],
-        space: FeatureSpace,
-        label_scale: str = "raw",
+        cls, records: Sequence[InteractionRecord], space: FeatureSpace
     ) -> "TrainInputs":
-        labels = star_labels(records, label_scale)
+        labels = star_labels(records, space.config)
         candidates = [encode_candidate(r, space) for r in records]
         return cls(
             queries=QueryBlock.from_features([encode_query(r, space) for r in records]),

@@ -23,6 +23,7 @@ from poirec.cli import (
     ConfigError,
     _feature_config,
     _train_config,
+    config_echo,
     main,
     parse_config_text,
 )
@@ -33,6 +34,7 @@ from poirec.corpus import (
     serialize_record,
     temporal_split,
 )
+from poirec.evaluation import EvalConfig
 from poirec.features import FeatureConfig, Vocabulary, hash_token
 from poirec.training import LossWeights, TrainConfig
 from _synth import latent_factor_corpus
@@ -214,20 +216,32 @@ BAD_CONFIG_VALUES = [
 ]
 
 
-# The library type and field that hold each validated key's range.
+# The library type and field that hold each key's default and range; only
+# the keys that `train` derives from the corpus have none.
+DERIVED_KEYS = {"date_min", "date_max"}
 OWNERS = {
-    "text_hash_buckets": (FeatureConfig, "text_hash_buckets"),
+    **{key: (FeatureConfig, key) for key in (
+        "use_text", "use_date", "text_hash_buckets", "label_scale")},
     "rating_weight": (LossWeights, "rating"),
     "retrieval_weight": (LossWeights, "retrieval"),
     **{key: (TrainConfig, key) for key in (
         "embed_dim", "batch_size", "epochs", "seed", "schedule", "softmax_mode",
         "learning_rate", "epsilon")},
+    "split_ratio": (EvalConfig, "split_ratio"),
+    "eval_ks": (EvalConfig, "ks"),
+    "mnb_buckets": (EvalConfig, "mnb_buckets"),
 }
 
 
 class TestLibraryAndCliAgree:
-    @pytest.mark.parametrize("key, value", [kv for kv in BAD_CONFIG_VALUES if kv[0] in OWNERS])
+    def test_every_setting_has_one_owner(self):
+        assert OWNERS.keys() == _CONFIG_SPEC.keys() - DERIVED_KEYS
+        for key, (owner, name) in OWNERS.items():
+            assert _CONFIG_SPEC[key][1] == getattr(owner, name), key
+
+    @pytest.mark.parametrize("key, value", BAD_CONFIG_VALUES)
     def test_owner_rejects_the_bad_value(self, key, value):
+        """The owner refuses the value, or it does not parse at all."""
         owner, name = OWNERS[key]
         with pytest.raises(ValueError):
             owner(**{name: _CONFIG_SPEC[key][0](value)})
@@ -300,7 +314,9 @@ class TestConfigValidation:
         assert not out.exists()
 
     def test_k_list_parses(self):
-        assert parse_config_text("eval_ks = 10, 50,100\n")["eval_ks"] == "10, 50,100"
+        cfg = parse_config_text("eval_ks = 10, 50,,100\n")
+        assert cfg["eval_ks"] == (10, 50, 100)
+        assert "eval_ks = 10,50,100\n" in config_echo(cfg)
 
 
 class TestIngest:

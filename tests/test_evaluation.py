@@ -13,6 +13,7 @@ from poirec.corpus import Corpus, temporal_split
 from poirec.evaluation import (
     ConfusionMatrix,
     EmptyInput,
+    EvalConfig,
     LengthMismatch,
     MetricsReport,
     confusion_matrix,
@@ -201,8 +202,9 @@ class TestEvaluateEncodesText:
             self.params, aggregate_candidates(self.train, self.space))
 
     def evaluate(self, mnb):
-        return evaluate(self.params, self.candidates, self.corpus, self.split, self.space,
-                        ks=(5, 20), mnb=mnb, mnb_buckets=self.MNB_BUCKETS, seed=9)
+        config = EvalConfig(split_ratio=0.8, ks=(5, 20), mnb_buckets=self.MNB_BUCKETS)
+        return evaluate(self.params, self.candidates, self.corpus, self.space, config,
+                        mnb=mnb, seed=9)
 
     def counted(self, monkeypatch):
         calls = {"tokenize_text": [], "text_bucket_counts": []}
@@ -263,6 +265,7 @@ class TestEvaluateEncodesText:
                 rmse=rmse(list(zip(rating_predict(self.params, u, v), stars))),
                 top_k={k: float(np.mean(ranks < k)) for k in (5, 20)},
                 example_count=len(self.test),
+                label_scale="raw",
                 confusion=confusion_matrix([r.stars for r in sample], predicted),
             )
             assert self.evaluate(mnb=True).text() == want.text()
@@ -284,8 +287,8 @@ class TestEvaluateRanksOnce:
             self.params, aggregate_candidates(self.train, self.space))
 
     def evaluate(self, corpus=None, ks=KS):
-        return evaluate(self.params, self.candidates, corpus or self.corpus, self.split,
-                        self.space, ks=ks)
+        return evaluate(self.params, self.candidates, corpus or self.corpus, self.space,
+                        EvalConfig(split_ratio=0.8, ks=ks))
 
     def test_two_user_forwards_and_per_k_report(self, monkeypatch):
         calls = []
@@ -309,6 +312,7 @@ class TestEvaluateRanksOnce:
             rmse=rmse(predict_ratings(self.params, self.test, self.space)),
             top_k={k: hits[k] / len(self.test) for k in self.KS},
             example_count=len(self.test),
+            label_scale="raw",
         )
         assert len(set(per_k.top_k.values())) == len(self.KS)
         assert report.text() == per_k.text()
@@ -350,7 +354,7 @@ class TestEvaluateRanksOnce:
     def test_candidates_of_another_shape_raise(self):
         for bad in (self.candidates[1:], self.candidates[:, :-1]):
             with pytest.raises(ValueError, match="candidates"):
-                evaluate(self.params, bad, self.corpus, self.split, self.space)
+                evaluate(self.params, bad, self.corpus, self.space)
 
 
 class TestConfusion:

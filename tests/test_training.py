@@ -381,25 +381,25 @@ class TestTrainLoop:
     def test_label_scale_normalized(self):
         corpus = latent_factor_corpus(n_users=10, n_businesses=8, n_events=50, seed=1)
         records = list(corpus.records)
-        space = FeatureSpace.build(records, FeatureConfig())
-        raw = TrainInputs.from_records(records, space, label_scale="raw")
-        norm = TrainInputs.from_records(records, space, label_scale="normalized")
+        raw = TrainInputs.from_records(records, FeatureSpace.build(records, FeatureConfig()))
+        space = FeatureSpace.build(records, FeatureConfig(label_scale="normalized"))
+        norm = TrainInputs.from_records(records, space)
         assert np.allclose(norm.labels, (raw.labels - 1.0) / 4.0)
         assert norm.labels.min() >= 0.0 and norm.labels.max() <= 1.0
-
-    def test_unknown_label_scale_raises(self):
-        """A misspelt scale must not train or score on raw stars."""
+        # Scoring reads the same scale from the space.
         from poirec.evaluation import predict_ratings
 
-        corpus = latent_factor_corpus(n_users=10, n_businesses=8, n_events=50, seed=1)
-        records = list(corpus.records)
-        space = FeatureSpace.build(records, FeatureConfig())
         params = init_params(seed=0, num_users=space.num_users,
                              num_businesses=space.num_businesses, k=4)
+        assert [a for _, a in predict_ratings(params, records, space)] == norm.labels.tolist()
+
+    def test_unknown_label_scale_raises(self):
+        """A misspelt scale must not train or score on raw stars: training
+        and scoring read the scale from a FeatureConfig, which refuses it."""
         with pytest.raises(ValueError, match="label_scale"):
-            TrainInputs.from_records(records, space, label_scale="Normalized")
+            FeatureConfig(label_scale="Normalized")
         with pytest.raises(ValueError, match="label_scale"):
-            predict_ratings(params, records, space, label_scale="Normalized")
+            replace(FeatureConfig(), label_scale="Normalized")
 
     def test_trace_line_format(self):
         e = EpochTrace(epoch=3, rating_loss=1.5, retrieval_loss=2.25, joint_loss=1.875)
