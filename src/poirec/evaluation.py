@@ -107,7 +107,7 @@ def top_k_hits(scores: np.ndarray, true_index: int, k: int) -> bool:
 
 
 def retrieval_ranks(
-    queries: Sequence[QueryFeatures],
+    queries: QueryBlock,
     true_indices: Sequence[int],
     candidates: np.ndarray,
     params: ModelParams,
@@ -123,9 +123,7 @@ def retrieval_ranks(
         raise EmptyInput("no queries")
     if len(queries) != len(true_indices):
         raise LengthMismatch("queries and true indices differ in length")
-    ur = retrieval_project(
-        params, "user", forward_users(params, QueryBlock.from_features(queries)).out
-    )
+    ur = retrieval_project(params, "user", forward_users(params, queries).out)
     ranks = _true_ranks(ur @ candidates.T, np.asarray(true_indices, dtype=np.int64))
     return ranks.astype(np.int64, copy=False)
 
@@ -145,7 +143,8 @@ def top_k_accuracy(
 ) -> float:
     """Fraction of queries whose true candidate ranks in the top k."""
     vr = candidate_embeddings(params, candidates)
-    return _accuracy_at(retrieval_ranks(queries, true_indices, vr, params), k)
+    ranks = retrieval_ranks(QueryBlock.from_features(queries), true_indices, vr, params)
+    return _accuracy_at(ranks, k)
 
 
 # ---------------------------------------------------------------------------
@@ -383,21 +382,24 @@ def predict_ratings(
     records: Sequence[InteractionRecord],
     space: FeatureSpace,
     text: Optional[TextCSR] = None,
+    queries: Optional[QueryBlock] = None,
 ) -> list[tuple[float, float]]:
     """(predicted, actual) rating pairs for a list of records.
 
-    `text` is `encode_texts` of the records' texts; when it is omitted and
-    text features are on, the texts are encoded here.
+    `text` (`encode_texts` of the records' texts) and `queries` (their
+    `encode_query` block) are encoded here when omitted; text only when
+    text features are on.
     """
     labels = star_labels(records, space.config)
     if not space.config.use_text:
         text = None
     elif text is None:
         text = encode_texts(r.text for r in records)
-    queries = [encode_query(r, space) for r in records]
+    if queries is None:
+        queries = QueryBlock.from_features([encode_query(r, space) for r in records])
     business_idx = [space.business_vocab.lookup(r.business_id) for r in records]
     block = CandidateBlock.from_text(business_idx, text, space.config.text_hash_buckets)
-    u = forward_users(params, QueryBlock.from_features(queries)).out
+    u = forward_users(params, queries).out
     v = forward_candidates(params, block).out
     preds = require_finite(rating_predict(params, u, v), "rating predictions")
     return [(float(p), float(l)) for p, l in zip(preds, labels)]
@@ -434,15 +436,17 @@ def evaluate(
     test_text = None
     if space.config.use_text or mnb:
         test_text = encode_texts(r.text for r in test_records)
-    error = rmse(predict_ratings(params, test_records, space, test_text))
+    queries = QueryBlock.from_features([encode_query(r, space) for r in test_records])
+    error = rmse(predict_ratings(params, test_records, space, test_text, queries))
 
     lookup = space.business_vocab.lookup
     true_idx = np.array([lookup(r.business_id) for r in test_records], dtype=np.int64)
     known = np.flatnonzero(true_idx > 0)
     ranks = np.full(len(test_records), np.iinfo(np.int64).max)  # cold start: a miss at every K
     if known.size:
-        queries = [encode_query(test_records[i], space) for i in known]
-        ranks[known] = retrieval_ranks(queries, true_idx[known] - 1, candidates[1:], params)
+        ranks[known] = retrieval_ranks(
+            queries.take(known), true_idx[known] - 1, candidates[1:], params
+        )
     top_k = {int(k): _accuracy_at(ranks, int(k)) for k in config.ks}
 
     confusion = None

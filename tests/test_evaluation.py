@@ -154,7 +154,7 @@ class TestRetrievalRanks:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(evaluation, "retrieval_project", lambda p, side, out: scores)
             mp.setattr(evaluation, "candidate_embeddings", lambda p, c: np.eye(m))
-            ranks = retrieval_ranks(queries, true, np.eye(m), params)
+            ranks = retrieval_ranks(QueryBlock.from_features(queries), true, np.eye(m), params)
             want = [_stable_argsort_rank(row, t) for row, t in zip(scores, true)]
             assert ranks.dtype == np.int64
             assert ranks.tolist() == want
@@ -169,7 +169,8 @@ class TestRetrievalRanks:
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            retrieval_ranks([QueryFeatures(0)], [0, 1], np.zeros((1, 2)), None)
+            retrieval_ranks(QueryBlock.from_features([QueryFeatures(0)]), [0, 1],
+                            np.zeros((1, 2)), None)
 
 
 def reviewed_corpus(seed=6):
@@ -246,7 +247,8 @@ class TestEvaluateEncodesText:
         assert min(true) > 0  # no cold-start target: every query is ranked
         # Candidates are the businesses, without the OOV entry at index 0.
         cands = candidate_embeddings(self.params, aggregate_candidates(self.train, self.space)[1:])
-        ranks = retrieval_ranks(queries, [t - 1 for t in true], cands, self.params)
+        ranks = retrieval_ranks(QueryBlock.from_features(queries), [t - 1 for t in true], cands,
+                                self.params)
         docs = [(text_bucket_counts(r.text, self.MNB_BUCKETS), r.stars) for r in self.train]
         model = mnb_train(docs, vocab_size=self.MNB_BUCKETS)
         block = CandidateBlock.from_features([encode_candidate(r, self.space) for r in self.test])
@@ -316,6 +318,14 @@ class TestEvaluateRanksOnce:
         )
         assert len(set(per_k.top_k.values())) == len(self.KS)
         assert report.text() == per_k.text()
+
+    def test_each_test_review_encoded_once(self, monkeypatch):
+        calls = []
+        encode_query = evaluation.encode_query
+        monkeypatch.setattr(evaluation, "encode_query",
+                            lambda r, space: calls.append(r) or encode_query(r, space))
+        self.evaluate()
+        assert calls == self.test
 
     def test_cold_start_targets_miss_at_every_k(self):
         """At K = V every known target hits and no cold-start one does."""
