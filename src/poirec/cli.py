@@ -82,6 +82,7 @@ def _checked(key: str, value):
 
 def parse_config_text(text: str) -> dict:
     cfg = {key: default for key, (_, default, _) in _CONFIG_SPEC.items()}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -91,6 +92,9 @@ def parse_config_text(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_SPEC:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: {key} repeated (first on line {first_line[key]})")
+        first_line[key] = lineno
         parser = _CONFIG_SPEC[key][0]
         try:
             cfg[key] = _checked(key, parser(value))
@@ -206,11 +210,14 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    text = ""
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as f:
-            cfg = parse_config_text(f.read())
-    else:
-        cfg = parse_config_text("")
+        with open(args.config, "rb") as f:
+            try:
+                text = f.read().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{args.config}: not UTF-8 at byte {exc.start}") from None
+    cfg = parse_config_text(text)
     for key in ("rating_weight", "retrieval_weight"):
         value = getattr(args, key)
         if value is not None:

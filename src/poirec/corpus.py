@@ -253,6 +253,8 @@ def load_corpus(source: Iterable[str] | IO[str], skip_malformed: bool = False) -
                 raise type(exc)(f"line {lineno}: {exc}") from exc
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
+    except UnicodeDecodeError as exc:  # a text stream decodes ahead, so no line number
+        raise MalformedLine(f"not UTF-8: {exc.reason}") from exc
     return Corpus(records=tuple(records), skipped=skipped)
 
 

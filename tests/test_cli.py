@@ -202,6 +202,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text("epochs = soon\n")
 
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ConfigError, match=r"^line 2: epochs repeated \(first on line 1\)$"):
+            parse_config_text("epochs = 5\nepochs = 7\n")
+
 
 # One bad value per validated key; each must stop `train` before any work.
 BAD_CONFIG_VALUES = [
@@ -301,6 +305,17 @@ class TestConfigValidation:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_config_not_utf8_is_a_clean_error(self, corpus_file, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"epochs = 1\nseed = \xff\n")
+        out = tmp_path / "m.ckpt"
+        rc = main(["train", "--corpus", str(corpus_file), "--config", str(cfg),
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: not UTF-8") and "Traceback" not in err
         assert not out.exists()
 
     def test_empty_train_partition_refused(self, corpus_file, tmp_path, capsys):
@@ -640,6 +655,22 @@ class TestExitCodes:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["ingest", "train", "evaluate"])
+    def test_corpus_not_utf8_is_a_clean_error(self, command, checkpoint_file, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\xff\xfe")
+        argv = {
+            "evaluate": ["evaluate", "--checkpoint", str(checkpoint_file), "--corpus", str(bad),
+                         "--report", str(tmp_path / "r.txt")],
+            "ingest": ["ingest", "--input", str(bad), "--out", str(tmp_path / "o.jsonl"),
+                       "--skip-malformed"],
+            "train": ["train", "--corpus", str(bad), "--out", str(tmp_path / "m.ckpt")],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not UTF-8" in err and "Traceback" not in err
+        assert not {"r.txt", "m.ckpt"} & {p.name for p in tmp_path.iterdir()}
 
 
 class TestModuleEntryPoint:

@@ -153,6 +153,16 @@ class TestLoadCorpus:
         assert len(corpus) == 1
         assert corpus.skipped == 1
 
+    @pytest.mark.parametrize("skip_malformed", [False, True])
+    def test_invalid_utf8_is_malformed(self, skip_malformed):
+        """A text stream decodes ahead of the lines it yields, so the error
+        names no line and cannot be skipped."""
+        data = (VALID_LINE + "\n").encode() + b'{"text": "caf\xe9"}\n'
+        stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        with pytest.raises(MalformedLine, match="not UTF-8") as exc:
+            load_corpus(stream, skip_malformed=skip_malformed)
+        assert "line" not in str(exc.value)
+
 
 def _record(uid, bid, days, stars=3, text=""):
     return InteractionRecord(
