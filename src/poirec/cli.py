@@ -293,12 +293,11 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         return 1
     # No interaction context exists at recommendation time: date slots zero.
     query = QueryFeatures(user_index=space.user_vocab.lookup(args.user_id))
-    u = model.user_encode(query, params, task="retrieval")
-    scores = model.require_finite(cand_emb @ u, "retrieval scores")
-    order = np.argsort(-scores, kind="stable")
-    order = order[order != 0]  # index 0 is the OOV bucket, not a business
-    for rank, idx in enumerate(order[: args.k], start=1):
-        print(f"{rank}, {space.business_vocab.id_of(int(idx))}, {scores[idx]:.6f}")
+    users = model.forward_users(params, model.QueryBlock.from_features([query])).out
+    scores = evaluation.retrieval_scores(params, users, cand_emb)[0]
+    # The order `evaluation.retrieval_ranks` counts; column j is business j + 1.
+    for rank, j in enumerate(np.argsort(-scores, kind="stable")[: args.k], start=1):
+        print(f"{rank}, {space.business_vocab.id_of(int(j) + 1)}, {scores[j]:.6f}")
     return 0
 
 

@@ -195,6 +195,13 @@ def parse_record(line: str) -> InteractionRecord:
     text = obj.get("text", "")
     if not isinstance(text, str):
         raise MalformedLine("text is not a string")
+    # A JSON escape such as \ud800 outside a pair gives a lone surrogate,
+    # which no UTF-8 output, corpus or checkpoint, can hold.
+    for key, value in (("user_id", user_id), ("business_id", business_id), ("text", text)):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise MalformedLine(f"{key} holds a lone UTF-16 surrogate") from None
 
     votes_obj = obj.get("votes", {})
     if not isinstance(votes_obj, dict):
@@ -259,16 +266,16 @@ def load_corpus(source: Iterable[str] | IO[str], skip_malformed: bool = False) -
 
 
 def temporal_split(corpus: Corpus, ratio: float) -> TemporalSplit:
-    """Order records by (date, ingestion index) and cut at floor(ratio * T).
+    """Order records by date and cut at floor(ratio * T).
 
-    Every train record's date is <= every test record's date; ties between
-    equal dates are broken by ingestion order so splits are reproducible.
+    Every train record's date is <= every test record's date; the sort is
+    stable, so equal dates keep ingestion order and splits are reproducible.
     """
     if len(corpus) < 2:
         raise EmptyCorpus(f"need at least 2 records, have {len(corpus)}")
     if not (0.0 < ratio < 1.0):
         raise ValueError(f"ratio must be in (0,1): {ratio}")
-    order = sorted(range(len(corpus)), key=lambda i: (corpus.records[i].date_days, i))
+    order = sorted(range(len(corpus)), key=lambda i: corpus.records[i].date_days)
     cut = int(ratio * len(corpus))
     return TemporalSplit(train=tuple(order[:cut]), test=tuple(order[cut:]), ratio=ratio)
 

@@ -1,21 +1,18 @@
 """Evaluation: RMSE, top-K categorical accuracy, confusion-matrix stats,
 and the Multinomial Naive Bayes stars-from-text baseline.
 
-Top-K accuracy scores every test query against every business in the
-vocabulary (brute-force maximum inner product) once, counts the
-candidates ranked above each true business, ties broken by ascending
-business index, and reads every K from those ranks. The OOV entry, index
-0, is not a business, so it is never a candidate, and a test review of a
-business unseen in training (a cold-start target) is a miss at every K;
-`poirec recommend` never lists index 0 either.
-
-`evaluate` ranks against the candidate embeddings it is given, the ones
-`train` stores in the checkpoint and `recommend` serves. It tokenizes each
-test review once, with `features.encode_texts`, when text features or the
-baseline need it, and the train reviews only for the baseline, which it
-fits with `np.bincount` over all `mnb_buckets` buckets. `mnb_train` and
-`mnb_predict`, which take bucket -> count dicts, are thin adapters over
-`mnb_fit` and `mnb_classify`.
+One scoring path serves `evaluate`, `top_k_accuracy` and `poirec
+recommend`: `retrieval_scores` takes user-tower outputs and the [V, k]
+candidate embeddings `train` stores, checks every score finite and cuts
+the OOV column, index 0, which is not a business. `retrieval_ranks`
+counts the candidates ranked above each true one, ties to the lower
+index, the order `recommend` lists; every K reads those ranks. A test
+review of a business unseen in training (a cold-start target) is a miss
+at every K. `evaluate` runs the user tower once, for RMSE and ranks, and
+tokenizes each test review once, when text features or the baseline need
+it; the baseline fits on the train reviews with `np.bincount` over all
+`mnb_buckets` buckets. `mnb_train` and `mnb_predict`, which take bucket ->
+count dicts, are thin adapters over `mnb_fit` and `mnb_classify`.
 """
 
 from __future__ import annotations
@@ -86,14 +83,30 @@ def rmse(pairs: Sequence[tuple[float, float]]) -> float:
     return float(np.sqrt(np.mean((arr[:, 0] - arr[:, 1]) ** 2)))
 
 
-def _true_ranks(scores: np.ndarray, true: np.ndarray) -> np.ndarray:
-    """Position of each row's true column in that row's stable descending
-    sort: #(s > s_true) + #(s == s_true and j < true), so ties go to the
+def retrieval_scores(params: ModelParams, users: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Scores [n, V - 1] of the user-tower outputs `users` [n, k] against
+    the [V, k] retrieval-side `candidates` of every vocabulary index; column
+    j is business index j + 1. The OOV column is cut after the check that
+    every score is finite (else FloatingPointError)."""
+    ur = retrieval_project(params, "user", users)
+    return require_finite(ur @ candidates.T, "retrieval scores")[:, 1:]
+
+
+def retrieval_ranks(scores: np.ndarray, true_indices: Sequence[int]) -> np.ndarray:
+    """0-based rank of each row's true column in that row of the finite
+    score matrix `scores`: its position in the row's stable descending
+    sort, #(s > s_true) + #(s == s_true and j < true), so ties go to the
     lower index, exactly as `np.argsort(-row, kind="stable")` orders them.
+
+    One score matrix serves every K: a row hits at K when its rank is below K.
     """
-    require_finite(scores, "retrieval scores")
+    true = np.asarray(true_indices, dtype=np.int64)
+    if len(scores) == 0:
+        raise EmptyInput("no queries")
+    if len(scores) != len(true):
+        raise LengthMismatch("score rows and true indices differ in length")
     n, m = scores.shape
-    if true.size and (true.min() < 0 or true.max() >= m):
+    if true.min() < 0 or true.max() >= m:
         raise ValueError(f"true index out of range for {m} candidates")
     s_true = scores[np.arange(n), true][:, None]
     before = (scores == s_true) & (np.arange(m) < true[:, None])
@@ -102,30 +115,8 @@ def _true_ranks(scores: np.ndarray, true: np.ndarray) -> np.ndarray:
 
 def top_k_hits(scores: np.ndarray, true_index: int, k: int) -> bool:
     """Whether true_index is among the k best scores (ties: lower index wins)."""
-    row = np.asarray(scores)[None, :]
-    return bool(_true_ranks(row, np.array([true_index]))[0] < k)
-
-
-def retrieval_ranks(
-    queries: QueryBlock,
-    true_indices: Sequence[int],
-    candidates: np.ndarray,
-    params: ModelParams,
-) -> np.ndarray:
-    """0-based rank of each query's true candidate among the rows of
-    `candidates`, the [m, k] retrieval-side embeddings that
-    `candidate_embeddings` gives.
-
-    One score matrix serves every K: a query hits at K when its rank is
-    below K. Non-finite scores raise FloatingPointError.
-    """
-    if len(queries) == 0:
-        raise EmptyInput("no queries")
-    if len(queries) != len(true_indices):
-        raise LengthMismatch("queries and true indices differ in length")
-    ur = retrieval_project(params, "user", forward_users(params, queries).out)
-    ranks = _true_ranks(ur @ candidates.T, np.asarray(true_indices, dtype=np.int64))
-    return ranks.astype(np.int64, copy=False)
+    row = require_finite(np.asarray(scores)[None, :], "retrieval scores")
+    return bool(retrieval_ranks(row, [true_index])[0] < k)
 
 
 def _accuracy_at(ranks: np.ndarray, k: int) -> float:
@@ -143,8 +134,10 @@ def top_k_accuracy(
 ) -> float:
     """Fraction of queries whose true candidate ranks in the top k."""
     vr = candidate_embeddings(params, candidates)
-    ranks = retrieval_ranks(QueryBlock.from_features(queries), true_indices, vr, params)
-    return _accuracy_at(ranks, k)
+    users = forward_users(params, QueryBlock.from_features(queries)).out
+    # A zero row at index 0 stands in for the OOV entry `retrieval_scores` cuts.
+    scores = retrieval_scores(params, users, np.vstack([np.zeros(vr.shape[1], vr.dtype), vr]))
+    return _accuracy_at(retrieval_ranks(scores, true_indices), k)
 
 
 # ---------------------------------------------------------------------------
@@ -377,32 +370,31 @@ class MetricsReport:
         return body + "\n"
 
 
-def predict_ratings(
+def _rating_pairs(
     params: ModelParams,
+    users: np.ndarray,
     records: Sequence[InteractionRecord],
     space: FeatureSpace,
-    text: Optional[TextCSR] = None,
-    queries: Optional[QueryBlock] = None,
+    text: Optional[TextCSR],
 ) -> list[tuple[float, float]]:
-    """(predicted, actual) rating pairs for a list of records.
-
-    `text` (`encode_texts` of the records' texts) and `queries` (their
-    `encode_query` block) are encoded here when omitted; text only when
-    text features are on.
-    """
-    labels = star_labels(records, space.config)
-    if not space.config.use_text:
-        text = None
-    elif text is None:
-        text = encode_texts(r.text for r in records)
-    if queries is None:
-        queries = QueryBlock.from_features([encode_query(r, space) for r in records])
+    """(predicted, actual) rating pairs of `records` from their user-tower
+    outputs `users` and `text`, their `encode_texts`, read only when text
+    features are on."""
     business_idx = [space.business_vocab.lookup(r.business_id) for r in records]
+    text = text if space.config.use_text else None
     block = CandidateBlock.from_text(business_idx, text, space.config.text_hash_buckets)
-    u = forward_users(params, queries).out
     v = forward_candidates(params, block).out
-    preds = require_finite(rating_predict(params, u, v), "rating predictions")
-    return [(float(p), float(l)) for p, l in zip(preds, labels)]
+    preds = require_finite(rating_predict(params, users, v), "rating predictions")
+    return [(float(p), float(l)) for p, l in zip(preds, star_labels(records, space.config))]
+
+
+def predict_ratings(
+    params: ModelParams, records: Sequence[InteractionRecord], space: FeatureSpace
+) -> list[tuple[float, float]]:
+    """(predicted, actual) rating pairs for a list of records."""
+    text = encode_texts(r.text for r in records) if space.config.use_text else None
+    queries = QueryBlock.from_features([encode_query(r, space) for r in records])
+    return _rating_pairs(params, forward_users(params, queries).out, records, space, text)
 
 
 def evaluate(
@@ -437,16 +429,16 @@ def evaluate(
     if space.config.use_text or mnb:
         test_text = encode_texts(r.text for r in test_records)
     queries = QueryBlock.from_features([encode_query(r, space) for r in test_records])
-    error = rmse(predict_ratings(params, test_records, space, test_text, queries))
+    users = forward_users(params, queries).out
+    error = rmse(_rating_pairs(params, users, test_records, space, test_text))
 
     lookup = space.business_vocab.lookup
     true_idx = np.array([lookup(r.business_id) for r in test_records], dtype=np.int64)
     known = np.flatnonzero(true_idx > 0)
     ranks = np.full(len(test_records), np.iinfo(np.int64).max)  # cold start: a miss at every K
     if known.size:
-        ranks[known] = retrieval_ranks(
-            queries.take(known), true_idx[known] - 1, candidates[1:], params
-        )
+        scores = retrieval_scores(params, users[known], candidates)
+        ranks[known] = retrieval_ranks(scores, true_idx[known] - 1)
     top_k = {int(k): _accuracy_at(ranks, int(k)) for k in config.ks}
 
     confusion = None

@@ -22,6 +22,7 @@ from poirec.cli import (
     _CONFIG_SPEC,
     ConfigError,
     _feature_config,
+    _load_model,
     _train_config,
     config_echo,
     main,
@@ -34,8 +35,9 @@ from poirec.corpus import (
     serialize_record,
     temporal_split,
 )
-from poirec.evaluation import EvalConfig
-from poirec.features import FeatureConfig, Vocabulary, hash_token
+from poirec.evaluation import EvalConfig, retrieval_ranks, retrieval_scores
+from poirec.features import FeatureConfig, QueryFeatures, Vocabulary, hash_token
+from poirec.model import QueryBlock, forward_users, retrieval_project
 from poirec.training import LossWeights, TrainConfig
 from _synth import latent_factor_corpus
 
@@ -205,6 +207,22 @@ class TestConfigParsing:
     def test_repeated_key_rejected(self):
         with pytest.raises(ConfigError, match=r"^line 2: epochs repeated \(first on line 1\)$"):
             parse_config_text("epochs = 5\nepochs = 7\n")
+
+    @given(st.one_of(
+        st.text(),
+        # Lines of known keys with arbitrary values reach every parser and validator.
+        st.lists(st.tuples(st.sampled_from(sorted(_CONFIG_SPEC)),
+                           st.one_of(st.text(), st.from_regex(r"-?[0-9.,e]{0,8}", fullmatch=True),
+                                     st.sampled_from(["nan", "inf", "true", "full_corpus"]))),
+                 max_size=4).map(lambda kv: "\n".join(f"{k} = {v}" for k, v in kv)),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_any_text_parses_or_is_a_config_error(self, text):
+        try:
+            cfg = parse_config_text(text)
+        except ConfigError:
+            return
+        assert cfg.keys() == _CONFIG_SPEC.keys()
 
 
 # One bad value per validated key; each must stop `train` before any work.
@@ -597,6 +615,51 @@ class TestRecommend:
         assert captured.out == ""
 
 
+    def test_lists_businesses_in_rank_order(self, checkpoint_file, corpus_file, tmp_path,
+                                            capsys):
+        """The list is the order `retrieval_ranks` counts on the user's
+        scores, ties to the lower index, and never the OOV entry, even when
+        index 0 scores highest."""
+        tensors, users, businesses, echo = load_checkpoint(checkpoint_file)
+        cand = tensors["aux.candidate_embeddings"].copy()
+        cand[2] = cand[3] = cand[1]  # a three-way tie
+        user = json.loads(corpus_file.read_text().splitlines()[0])["user_id"]
+        params, _, space, _ = _load_model(checkpoint_file)
+        query = QueryBlock.from_features([QueryFeatures(space.user_vocab.lookup(user))])
+        u = forward_users(params, query).out
+        s = retrieval_scores(params, u, cand)[0]
+        top = np.argmax(np.abs(s))
+        cand[0] = 10 * np.sign(s[top]) * cand[1 + top]
+        assert (retrieval_project(params, "user", u) @ cand[0])[0] > s.max()
+        edited = tmp_path / "edited.ckpt"
+        save_checkpoint(edited, {**tensors, "aux.candidate_embeddings": cand}, users,
+                        businesses, echo)
+
+        m = len(businesses) - 1
+        assert main(["recommend", "--checkpoint", str(edited), "--user-id", user,
+                     "--k", str(m + 1)]) == 0
+        lines = [line.split(", ") for line in capsys.readouterr().out.splitlines()]
+        scores = retrieval_scores(params, u, cand)
+        ranks = retrieval_ranks(np.repeat(scores, m, axis=0), np.arange(m))
+        assert sorted(ranks.tolist()) == list(range(m))
+        want = [businesses.id_of(int(j) + 1) for j in np.argsort(ranks)]
+        assert [rank for rank, _, _ in lines] == [str(r) for r in range(1, m + 1)]
+        assert [business for _, business, _ in lines] == want
+
+    def test_non_finite_oov_row_fails_like_evaluate(self, checkpoint_file, corpus_file,
+                                                    tmp_path, capsys):
+        broken = _with_nan(checkpoint_file, tmp_path, "aux.candidate_embeddings")
+        assert np.isnan(load_checkpoint(broken)[0]["aux.candidate_embeddings"][0, 0])
+        user = json.loads(corpus_file.read_text().splitlines()[0])["user_id"]
+        report = tmp_path / "r.txt"
+        for argv in (["evaluate", "--corpus", str(corpus_file), "--report", str(report)],
+                     ["recommend", "--user-id", user, "--k", "3"]):
+            assert main([*argv, "--checkpoint", str(broken)]) == 1, argv[0]
+            captured = capsys.readouterr()
+            assert captured.err == "error: non-finite retrieval scores\n", argv[0]
+            assert captured.out == "" and not report.exists()
+
+
 class TestGradcheck:
     def test_pass_exit_zero(self, capsys):
         rc = main(["gradcheck", "--seed", "0"])
@@ -671,6 +734,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "not UTF-8" in err and "Traceback" not in err
         assert not {"r.txt", "m.ckpt"} & {p.name for p in tmp_path.iterdir()}
+
+
+    @pytest.mark.parametrize("command", ["ingest", "train"])
+    def test_lone_surrogate_is_a_clean_error(self, command, corpus_file, tmp_path, capsys):
+        lines = corpus_file.read_text().splitlines()
+        lines[1] = lines[1].replace('"user_id": "', '"user_id": "\\ud800', 1)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        argv = {
+            "ingest": ["ingest", "--input", str(bad), "--out", str(tmp_path / "o.jsonl")],
+            "train": ["train", "--corpus", str(bad), "--out", str(tmp_path / "m.ckpt")],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: line 2: user_id holds a lone UTF-16 surrogate\n"
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_lone_surrogate_is_skippable(self, corpus_file, tmp_path, capsys):
+        lines = corpus_file.read_text().splitlines()
+        lines[1] = lines[1].replace('"text": "', '"text": "\\udfff', 1)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o.jsonl"
+        assert main(["ingest", "--input", str(bad), "--out", str(out), "--skip-malformed"]) == 0
+        assert "skipped: 1" in capsys.readouterr().out
+        assert out.read_text().splitlines() == [lines[0], *lines[2:]]
 
 
 class TestModuleEntryPoint:

@@ -153,6 +153,22 @@ class TestLoadCorpus:
         assert len(corpus) == 1
         assert corpus.skipped == 1
 
+    @pytest.mark.parametrize("field", ["user_id", "business_id", "text"])
+    def test_lone_surrogate_is_malformed(self, field):
+        """A JSON escape can spell a lone UTF-16 surrogate, which UTF-8 cannot encode."""
+        line = VALID_LINE.replace(f'"{field}":"', f'"{field}":"x\\ud800')
+        assert "\\ud800" in line
+        with pytest.raises(MalformedLine, match=f"line 2: {field} holds a lone UTF-16 surrogate"):
+            load_corpus(io.StringIO(VALID_LINE + "\n" + line + "\n"))
+        corpus = load_corpus(io.StringIO(line + "\n" + VALID_LINE + "\n"), skip_malformed=True)
+        assert (len(corpus), corpus.skipped) == (1, 1)
+
+    def test_surrogate_pair_parses(self):
+        line = VALID_LINE.replace('"text":"ok"', '"text":"ok \\ud83d\\ude00"')
+        record = parse_record(line)
+        assert record.text == "ok \U0001F600"
+        assert parse_record(serialize_record(record)) == record
+
     @pytest.mark.parametrize("skip_malformed", [False, True])
     def test_invalid_utf8_is_malformed(self, skip_malformed):
         """A text stream decodes ahead of the lines it yields, so the error

@@ -44,6 +44,7 @@ from poirec.model import (
     forward_users,
     init_params,
     rating_predict,
+    retrieval_project,
     score_all,
 )
 from _synth import latent_factor_corpus
@@ -150,14 +151,14 @@ class TestRetrievalRanks:
         cands = [CandidateFeatures(j) for j in range(m)]
         params = init_params(seed=0, num_users=2, num_businesses=m, k=2,
                              use_text=False, use_date=False, dtype=np.float64)
+        ranks = retrieval_ranks(scores, true)
+        want = [_stable_argsort_rank(row, t) for row, t in zip(scores, true)]
+        assert ranks.dtype == np.int64
+        assert ranks.tolist() == want
         # Replace the two sides so that ur @ vr.T is `scores` exactly.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(evaluation, "retrieval_project", lambda p, side, out: scores)
             mp.setattr(evaluation, "candidate_embeddings", lambda p, c: np.eye(m))
-            ranks = retrieval_ranks(QueryBlock.from_features(queries), true, np.eye(m), params)
-            want = [_stable_argsort_rank(row, t) for row, t in zip(scores, true)]
-            assert ranks.dtype == np.int64
-            assert ranks.tolist() == want
             for k in range(1, m + 1):
                 hits = [r < k for r in want]
                 assert top_k_accuracy(queries, true, cands, params, k) == sum(hits) / n
@@ -169,8 +170,7 @@ class TestRetrievalRanks:
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            retrieval_ranks(QueryBlock.from_features([QueryFeatures(0)]), [0, 1],
-                            np.zeros((1, 2)), None)
+            retrieval_ranks(np.zeros((1, 2)), [0, 1])
 
 
 def reviewed_corpus(seed=6):
@@ -245,14 +245,14 @@ class TestEvaluateEncodesText:
         queries = [encode_query(r, self.space) for r in self.test]
         true = [self.space.business_vocab.lookup(r.business_id) for r in self.test]
         assert min(true) > 0  # no cold-start target: every query is ranked
+        u = forward_users(self.params, QueryBlock.from_features(queries)).out
         # Candidates are the businesses, without the OOV entry at index 0.
         cands = candidate_embeddings(self.params, aggregate_candidates(self.train, self.space)[1:])
-        ranks = retrieval_ranks(QueryBlock.from_features(queries), [t - 1 for t in true], cands,
-                                self.params)
+        scores = retrieval_project(self.params, "user", u) @ cands.T
+        ranks = retrieval_ranks(scores, [t - 1 for t in true])
         docs = [(text_bucket_counts(r.text, self.MNB_BUCKETS), r.stars) for r in self.train]
         model = mnb_train(docs, vocab_size=self.MNB_BUCKETS)
         block = CandidateBlock.from_features([encode_candidate(r, self.space) for r in self.test])
-        u = forward_users(self.params, QueryBlock.from_features(queries)).out
         v = forward_candidates(self.params, block).out
         stars = [r.stars for r in self.test]
         assert len(self.test) < evaluation.MNB_SAMPLE
@@ -292,13 +292,13 @@ class TestEvaluateRanksOnce:
         return evaluate(self.params, self.candidates, corpus or self.corpus, self.space,
                         EvalConfig(split_ratio=0.8, ks=ks))
 
-    def test_two_user_forwards_and_per_k_report(self, monkeypatch):
+    def test_one_user_forward_and_per_k_report(self, monkeypatch):
         calls = []
         forward_users = evaluation.forward_users
         monkeypatch.setattr(evaluation, "forward_users",
                             lambda *a: calls.append(1) or forward_users(*a))
         report = self.evaluate()
-        assert len(calls) == 2  # one for the ratings, one for every K
+        assert len(calls) == 1  # the ratings and every K read one forward
         monkeypatch.undo()
 
         # Only known targets are ranked, among the businesses without the
