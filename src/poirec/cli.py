@@ -163,7 +163,10 @@ AUX_CANDIDATES = "aux.candidate_embeddings"
 def _load_model(path: str) -> tuple[model.ModelParams, np.ndarray, FeatureSpace, dict]:
     """A checkpoint's model, precomputed candidate embeddings, feature
     space and config echo. Every tensor's name and shape must be the ones
-    the config echo and the vocabulary sizes give, or the file is corrupt."""
+    the config echo and the vocabulary sizes give, or the file is corrupt.
+    A NaN or infinity in any tensor is `FloatingPointError` "non-finite
+    tensor <name>", so `evaluate` and `recommend` refuse it alike, whatever
+    they go on to score."""
     tensors, user_vocab, business_vocab, echo = ckpt.load_checkpoint(path)
     cfg = parse_config_text(echo)
     k = cfg["embed_dim"]
@@ -178,6 +181,8 @@ def _load_model(path: str) -> tuple[model.ModelParams, np.ndarray, FeatureSpace,
             raise ckpt.CorruptFile(
                 f"tensor {name}: {got} in the file, {need} from the config echo and vocabularies"
             )
+    for name, tensor in tensors.items():
+        model.require_finite(tensor, f"tensor {name}")
     core = {n: t for n, t in tensors.items() if n != AUX_CANDIDATES}
     params = model.ModelParams(
         k=k, use_text=cfg["use_text"], use_date=cfg["use_date"], tensors=core

@@ -8,13 +8,17 @@ Dates are stored internally as integer days since 1970-01-01.
 from __future__ import annotations
 
 import datetime
+import functools
 import json
 import re
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
+import numpy as np
+
 _EPOCH_ORDINAL = datetime.date(1970, 1, 1).toordinal()
 _DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
+_decode = json.JSONDecoder().decode
 
 
 class CorpusError(Exception):
@@ -45,8 +49,10 @@ class EmptyCorpus(CorpusError):
     pass
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def days_from_date(iso: str) -> int:
-    """Convert a 'YYYY-MM-DD' string to days since 1970-01-01."""
+    """Convert a 'YYYY-MM-DD' string to days since 1970-01-01. Memoised: a
+    corpus repeats about a thousand distinct dates over all its reviews."""
     if not _DATE_RE.match(iso):
         raise BadDate(f"date not in YYYY-MM-DD form: {iso!r}")
     try:
@@ -60,12 +66,7 @@ def date_from_days(days: int) -> datetime.date:
     return datetime.date.fromordinal(days + _EPOCH_ORDINAL)
 
 
-def month_of_days(days: int) -> int:
-    """Calendar month (1-12) of a days-since-epoch value."""
-    return date_from_days(days).month
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InteractionRecord:
     """One review event: who rated which business, how, and when."""
 
@@ -137,87 +138,86 @@ class StatsReport:
         return out
 
 
-def _require(obj: dict, key: str):
-    if key not in obj:
-        raise MissingField(f"missing field {key!r}")
-    return obj[key]
-
-
-def _vote_count(votes_obj: dict, key: str) -> int:
-    """A vote count as an int. A bool, null, list or object, or a float with
-    a fractional part (or a non-finite one), is out of range rather than
-    truncated or a crash. A string goes through int()."""
-    value = votes_obj.get(key, 0)
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float, str))
-        or (isinstance(value, float) and not value.is_integer())
-    ):
-        raise OutOfRange(f"votes.{key} is not an integer: {value!r}")
-    return int(value)
+def _vote_count(value, key: str) -> int:
+    """A vote count that is not a plain int, as an int. A bool, null, list
+    or object, or a float with a fractional part (or a non-finite one), is
+    out of range rather than truncated or a crash. A string goes through
+    int()."""
+    if type(value) is float and value.is_integer() or type(value) is str:
+        return int(value)
+    raise OutOfRange(f"votes.{key} is not an integer: {value!r}")
 
 
 def parse_record(line: str) -> InteractionRecord:
     """Parse one JSON review line into a validated record.
 
-    Fields outside the review layout (e.g. 'type') are ignored.
+    Fields outside the review layout (e.g. 'type') are ignored. `json`
+    builds only plain types, so each check is an exact `type(...) is` test.
     """
     try:
-        obj = json.loads(line)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        obj = _decode(line)
+    except json.JSONDecodeError as exc:
+        if line.startswith("\ufeff"):  # the message json.loads gives a byte-order mark
+            exc = json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
         raise MalformedLine(f"unparseable line: {exc}") from exc
-    if not isinstance(obj, dict):
+    if type(obj) is not dict:
         raise MalformedLine("line is not a JSON object")
 
-    user_id = _require(obj, "user_id")
-    business_id = _require(obj, "business_id")
-    stars = _require(obj, "stars")
-    date = _require(obj, "date")
+    try:
+        user_id = obj["user_id"]
+        business_id = obj["business_id"]
+        stars = obj["stars"]
+        date = obj["date"]
+    except KeyError as exc:
+        raise MissingField(f"missing field {exc.args[0]!r}") from None
 
-    if not isinstance(user_id, str) or not user_id:
+    if type(user_id) is not str or not user_id:
         raise MissingField("user_id is empty")
-    if not isinstance(business_id, str) or not business_id:
+    if type(business_id) is not str or not business_id:
         raise MissingField("business_id is empty")
 
-    if isinstance(stars, bool) or not isinstance(stars, (int, float)):
-        raise OutOfRange(f"stars is not numeric: {stars!r}")
-    if isinstance(stars, float):
+    if type(stars) is float:
         if not stars.is_integer():
             raise OutOfRange(f"stars is not an integer: {stars!r}")
         stars = int(stars)
+    elif type(stars) is not int:
+        raise OutOfRange(f"stars is not numeric: {stars!r}")
     if stars < 1 or stars > 5:
         raise OutOfRange(f"stars out of [1,5]: {stars}")
 
-    if not isinstance(date, str):
+    if type(date) is not str:
         raise BadDate(f"date is not a string: {date!r}")
     date_days = days_from_date(date)
 
     text = obj.get("text", "")
-    if not isinstance(text, str):
+    if type(text) is not str:
         raise MalformedLine("text is not a string")
     # A JSON escape such as \ud800 outside a pair gives a lone surrogate,
-    # which no UTF-8 output, corpus or checkpoint, can hold.
-    for key, value in (("user_id", user_id), ("business_id", business_id), ("text", text)):
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError:
-            raise MalformedLine(f"{key} holds a lone UTF-16 surrogate") from None
+    # which no UTF-8 output, corpus or checkpoint, can hold. An ASCII line
+    # without a \u escape cannot decode to one.
+    if not line.isascii() or "\\u" in line:
+        for key, value in (("user_id", user_id), ("business_id", business_id), ("text", text)):
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise MalformedLine(f"{key} holds a lone UTF-16 surrogate") from None
 
     votes_obj = obj.get("votes", {})
-    if not isinstance(votes_obj, dict):
+    if type(votes_obj) is not dict:
         raise MalformedLine("votes is not an object")
-    votes = tuple(_vote_count(votes_obj, k) for k in ("funny", "useful", "cool"))
-    if any(v < 0 for v in votes):
+    funny = votes_obj.get("funny", 0)
+    useful = votes_obj.get("useful", 0)
+    cool = votes_obj.get("cool", 0)
+    if type(funny) is not int:
+        funny = _vote_count(funny, "funny")
+    if type(useful) is not int:
+        useful = _vote_count(useful, "useful")
+    if type(cool) is not int:
+        cool = _vote_count(cool, "cool")
+    if funny < 0 or useful < 0 or cool < 0:
         raise OutOfRange("negative vote count")
 
-    return InteractionRecord(
-        user_id=user_id,
-        business_id=business_id,
-        stars=stars,
-        text=text,
-        date_days=date_days,
-        votes=votes,  # type: ignore[arg-type]
-    )
+    return InteractionRecord(user_id, business_id, stars, text, date_days, (funny, useful, cool))
 
 
 def serialize_record(record: InteractionRecord) -> str:
@@ -275,7 +275,8 @@ def temporal_split(corpus: Corpus, ratio: float) -> TemporalSplit:
         raise EmptyCorpus(f"need at least 2 records, have {len(corpus)}")
     if not (0.0 < ratio < 1.0):
         raise ValueError(f"ratio must be in (0,1): {ratio}")
-    order = sorted(range(len(corpus)), key=lambda i: corpus.records[i].date_days)
+    days = np.fromiter((r.date_days for r in corpus.records), dtype=np.int64, count=len(corpus))
+    order = np.argsort(days, kind="stable").tolist()
     cut = int(ratio * len(corpus))
     return TemporalSplit(train=tuple(order[:cut]), test=tuple(order[cut:]), ratio=ratio)
 

@@ -29,7 +29,6 @@ from .features import (
     QueryFeatures,
     TextCSR,
     counts_csr,
-    encode_query,
     encode_texts,
     star_labels,
 )
@@ -393,7 +392,7 @@ def predict_ratings(
 ) -> list[tuple[float, float]]:
     """(predicted, actual) rating pairs for a list of records."""
     text = encode_texts(r.text for r in records) if space.config.use_text else None
-    queries = QueryBlock.from_features([encode_query(r, space) for r in records])
+    queries = QueryBlock.from_records(records, space)
     return _rating_pairs(params, forward_users(params, queries).out, records, space, text)
 
 
@@ -428,7 +427,7 @@ def evaluate(
     test_text = None
     if space.config.use_text or mnb:
         test_text = encode_texts(r.text for r in test_records)
-    queries = QueryBlock.from_features([encode_query(r, space) for r in test_records])
+    queries = QueryBlock.from_records(test_records, space)
     users = forward_users(params, queries).out
     error = rmse(_rating_pairs(params, users, test_records, space, test_text))
 

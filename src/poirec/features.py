@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import InteractionRecord, month_of_days
+from .corpus import InteractionRecord
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -233,18 +233,33 @@ def encode_texts(texts: Iterable[str]) -> TextCSR:
     )
 
 
-def encode_date(date_days: int, corpus_min: int, corpus_max: int) -> tuple[float, float, float]:
-    """(normalized days in corpus range, sin month angle, cos month angle).
+# sin and cos of the month angle 2*pi*(month - 1)/12, by month - 1, from
+# `math` so the bits do not depend on numpy's vectorised sin and cos.
+_MONTH_SIN = np.array([math.sin(2.0 * math.pi * m / 12.0) for m in range(12)])
+_MONTH_COS = np.array([math.cos(2.0 * math.pi * m / 12.0) for m in range(12)])
+
+
+def encode_dates(date_days: np.ndarray, corpus_min: int, corpus_max: int) -> np.ndarray:
+    """[n, 3] float64: per date, the normalized days in the corpus range
+    and the sin and cos of the month angle 2*pi*(month - 1)/12.
 
     Out-of-range dates clamp; a degenerate range maps to 0.5.
     """
+    days = np.asarray(date_days, dtype=np.int64)
+    out = np.empty((len(days), 3), dtype=np.float64)
     if corpus_max > corpus_min:
-        frac = (date_days - corpus_min) / (corpus_max - corpus_min)
-        frac = min(1.0, max(0.0, frac))
+        np.clip((days - corpus_min) / (corpus_max - corpus_min), 0.0, 1.0, out=out[:, 0])
     else:
-        frac = 0.5
-    angle = 2.0 * math.pi * (month_of_days(date_days) - 1) / 12.0
-    return (frac, math.sin(angle), math.cos(angle))
+        out[:, 0] = 0.5
+    month = days.astype("datetime64[D]").astype("datetime64[M]").astype(np.int64) % 12
+    out[:, 1] = _MONTH_SIN[month]
+    out[:, 2] = _MONTH_COS[month]
+    return out
+
+
+def encode_date(date_days: int, corpus_min: int, corpus_max: int) -> tuple[float, float, float]:
+    """One row of `encode_dates`, as Python floats."""
+    return tuple(encode_dates([date_days], corpus_min, corpus_max)[0].tolist())
 
 
 @dataclass

@@ -19,7 +19,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .features import CandidateFeatures, FeatureConfig, QueryFeatures, TextCSR, counts_csr
+from .corpus import InteractionRecord
+from .features import (
+    CandidateFeatures,
+    FeatureConfig,
+    FeatureSpace,
+    QueryFeatures,
+    TextCSR,
+    counts_csr,
+    encode_dates,
+)
 
 DATE_DIM = 3
 
@@ -126,6 +135,20 @@ class QueryBlock:
             if q.date_features is not None:
                 date[i, :] = q.date_features
         return cls(user_idx=user_idx, date=date)
+
+    @classmethod
+    def from_records(
+        cls, records: Sequence[InteractionRecord], space: FeatureSpace
+    ) -> "QueryBlock":
+        """The query rows of `records`, as `encode_query` gives them: the
+        user index, and `encode_dates` when date features are on."""
+        n = len(records)
+        lookup = space.user_vocab.lookup
+        user_idx = np.fromiter((lookup(r.user_id) for r in records), dtype=np.int64, count=n)
+        if not space.config.use_date:
+            return cls(user_idx=user_idx, date=np.zeros((n, DATE_DIM), dtype=np.float64))
+        days = np.fromiter((r.date_days for r in records), dtype=np.int64, count=n)
+        return cls(user_idx=user_idx, date=encode_dates(days, space.date_min, space.date_max))
 
     def __len__(self) -> int:
         return len(self.user_idx)

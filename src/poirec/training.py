@@ -506,7 +506,7 @@ class TrainInputs:
         labels = star_labels(records, space.config)
         candidates = [encode_candidate(r, space) for r in records]
         return cls(
-            queries=QueryBlock.from_features([encode_query(r, space) for r in records]),
+            queries=QueryBlock.from_records(records, space),
             candidates=candidates,
             labels=labels,
             corpus_candidates=sum_candidates(candidates, space),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from poirec.corpus import Corpus, InteractionRecord, days_from_date, month_of_days
+from poirec.corpus import Corpus, InteractionRecord, date_from_days, days_from_date
 
 _TOPIC_TOKENS = [
     ["sushi", "ramen", "noodle", "tempura", "miso", "wasabi"],
@@ -91,7 +91,7 @@ def feature_signal_corpus(
     for t in range(n_events):
         u = int(rng.integers(0, n_users))
         day = base + int(rng.integers(0, 4 * 365))
-        month = month_of_days(day)
+        month = date_from_days(day).month
         summer = 1 if 5 <= month <= 9 else 0
         topic_match = (biz_topic == user_topic[u]).astype(float)
         season_match = (biz_season == summer).astype(float)

@@ -228,6 +228,7 @@ def sweep_results(sweep_data):
     return results
 
 
+@pytest.mark.slow
 class TestCriterion3:
     def test_weight_setting_ordering(self, sweep_results):
         med = {
@@ -251,6 +252,7 @@ class TestCriterion3:
         assert ok
 
 
+@pytest.mark.slow
 class TestCriterion5:
     def test_two_phase_schedule(self, sweep_data):
         inputs, space, metrics = sweep_data
@@ -301,6 +303,7 @@ class TestCriterion7:
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 class TestCriterion4:
     def test_feature_ablation_ordering(self):
         corpus = feature_signal_corpus(seed=11, choice_season=1.5)

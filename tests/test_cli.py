@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -530,7 +531,7 @@ class TestEvaluate:
                    "--report", str(report)])
         assert rc == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: non-finite rating predictions")
+        assert captured.err == "error: non-finite tensor rating_head.w\n"
         assert captured.out == "" and not report.exists()
 
 
@@ -611,7 +612,7 @@ class TestRecommend:
         rc = main(["recommend", "--checkpoint", str(broken), "--user-id", user, "--k", "3"])
         assert rc == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: non-finite retrieval scores")
+        assert captured.err == "error: non-finite tensor retrieval_head.user.w\n"
         assert captured.out == ""
 
 
@@ -656,8 +657,32 @@ class TestRecommend:
                      ["recommend", "--user-id", user, "--k", "3"]):
             assert main([*argv, "--checkpoint", str(broken)]) == 1, argv[0]
             captured = capsys.readouterr()
-            assert captured.err == "error: non-finite retrieval scores\n", argv[0]
+            assert captured.err == "error: non-finite tensor aux.candidate_embeddings\n", argv[0]
             assert captured.out == "" and not report.exists()
+
+    def test_non_finite_candidates_fail_with_every_target_cold(self, checkpoint_file,
+                                                               corpus_file, tmp_path, capsys):
+        """With every test business unseen in training, `evaluate` forms no
+        retrieval score, and the NaN is still refused when the checkpoint
+        loads."""
+        with open(corpus_file, encoding="utf-8") as f:
+            corpus = load_corpus(f)
+        test = set(temporal_split(corpus, 0.9).test)
+        cold = tmp_path / "cold.jsonl"
+        cold.write_text("".join(
+            serialize_record(replace(r, business_id=f"cold-{i}") if i in test else r) + "\n"
+            for i, r in enumerate(corpus.records)))
+        report = tmp_path / "r.txt"
+        argv = ["evaluate", "--corpus", str(cold), "--report", str(report)]
+        assert main([*argv, "--checkpoint", str(checkpoint_file)]) == 0
+        assert capsys.readouterr().out.endswith("top_k.100=0.000000\n")  # nothing ranked
+        report.unlink()
+
+        broken = _with_nan(checkpoint_file, tmp_path, "aux.candidate_embeddings")
+        assert main([*argv, "--checkpoint", str(broken)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: non-finite tensor aux.candidate_embeddings\n"
+        assert captured.out == "" and not report.exists()
 
 
 class TestGradcheck:

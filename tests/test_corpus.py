@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poirec import corpus as corpus_mod
 from poirec.corpus import (
     BadDate,
     Corpus,
@@ -123,6 +124,199 @@ class TestParseRecord:
         )
         assert parse_record(serialize_record(record)) == record
 
+
+
+# ---------------------------------------------------------------------------
+# parse_record against its first, plainer form.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_require(obj: dict, key: str):
+    if key not in obj:
+        raise MissingField(f"missing field {key!r}")
+    return obj[key]
+
+
+def _oracle_vote_count(votes_obj: dict, key: str) -> int:
+    value = votes_obj.get(key, 0)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float, str))
+        or (isinstance(value, float) and not value.is_integer())
+    ):
+        raise OutOfRange(f"votes.{key} is not an integer: {value!r}")
+    return int(value)
+
+
+def _oracle_parse_record(line: str) -> InteractionRecord:
+    """`parse_record` as it read before its checks became exact type tests:
+    `json.loads`, `isinstance` chains, an unmemoised date parse and a
+    surrogate probe on every line."""
+    try:
+        obj = json.loads(line)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise MalformedLine(f"unparseable line: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise MalformedLine("line is not a JSON object")
+
+    user_id = _oracle_require(obj, "user_id")
+    business_id = _oracle_require(obj, "business_id")
+    stars = _oracle_require(obj, "stars")
+    date = _oracle_require(obj, "date")
+
+    if not isinstance(user_id, str) or not user_id:
+        raise MissingField("user_id is empty")
+    if not isinstance(business_id, str) or not business_id:
+        raise MissingField("business_id is empty")
+
+    if isinstance(stars, bool) or not isinstance(stars, (int, float)):
+        raise OutOfRange(f"stars is not numeric: {stars!r}")
+    if isinstance(stars, float):
+        if not stars.is_integer():
+            raise OutOfRange(f"stars is not an integer: {stars!r}")
+        stars = int(stars)
+    if stars < 1 or stars > 5:
+        raise OutOfRange(f"stars out of [1,5]: {stars}")
+
+    if not isinstance(date, str):
+        raise BadDate(f"date is not a string: {date!r}")
+    date_days = corpus_mod.days_from_date.__wrapped__(date)
+
+    text = obj.get("text", "")
+    if not isinstance(text, str):
+        raise MalformedLine("text is not a string")
+    for key, value in (("user_id", user_id), ("business_id", business_id), ("text", text)):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise MalformedLine(f"{key} holds a lone UTF-16 surrogate") from None
+
+    votes_obj = obj.get("votes", {})
+    if not isinstance(votes_obj, dict):
+        raise MalformedLine("votes is not an object")
+    votes = tuple(_oracle_vote_count(votes_obj, k) for k in ("funny", "useful", "cool"))
+    if any(v < 0 for v in votes):
+        raise OutOfRange("negative vote count")
+
+    return InteractionRecord(
+        user_id=user_id,
+        business_id=business_id,
+        stars=stars,
+        text=text,
+        date_days=date_days,
+        votes=votes,
+    )
+
+
+_MISSING = object()
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+# Text with lone surrogates, a valid pair, non-ASCII and a literal backslash-u.
+_TEXT = st.lists(
+    st.sampled_from(["a", "é", "\ud800", "\udc00", "\ud83d\ude00", "\U0001F600", "\\u", '"'])
+    | st.characters(),
+    max_size=8,
+).map("".join)
+_VOTE = (
+    st.sampled_from(["lots", "3", " 3", "-1", "1_0", 2.0, 2.7, -2.0, True, False, None, [1],
+                     {"n": 1}, float("nan"), float("inf"), 10**20])
+    | st.integers(-3, 100)
+    | _JSON
+)
+_VALID = {
+    "user_id": st.sampled_from(["u1", "ü"]) | _TEXT,
+    "business_id": st.sampled_from(["b1", "ü"]) | _TEXT,
+    "stars": st.integers(1, 5),
+    "date": st.dates().map(str),
+    "text": _TEXT,
+    "votes": st.fixed_dictionaries(
+        {}, optional={k: st.integers(0, 9) for k in ("funny", "useful", "cool")}),
+}
+_FAULTY = {
+    "user_id": st.sampled_from(["", "u1"]) | _TEXT,
+    "business_id": st.sampled_from(["", "b1"]) | _TEXT,
+    "stars": st.sampled_from([1, 5, 0, 6, 3.0, 2.5, True, False, None, "3", float("nan")])
+    | st.integers(-2, 8) | st.floats(),
+    "date": st.sampled_from(["2016-05-30", "2016-13-45", "2016-02-29", "2015-02-29", "0000-01-01",
+                             "30/05/2016", "2016-05-30\n", "２０１６-０５-３０"])
+    | _TEXT,
+    "text": _TEXT,
+    "votes": st.dictionaries(st.sampled_from(["funny", "useful", "cool", "other"]), _VOTE,
+                             max_size=4),
+}
+
+
+@st.composite
+def _record_lines(draw):
+    """A review-shaped line: every field valid except up to three, each of
+    which is an odd value, any JSON value or missing; extra keys; escaped
+    or raw non-ASCII; space around it."""
+    obj = draw(st.dictionaries(st.text(max_size=4), _JSON, max_size=2))
+    faulty = draw(st.lists(st.sampled_from(list(_FAULTY)), max_size=3, unique=True))
+    for key, valid in _VALID.items():
+        value = draw(st.just(_MISSING) | _FAULTY[key] | _JSON if key in faulty else valid)
+        if value is not _MISSING:
+            obj[key] = value
+    line = json.dumps(obj, ensure_ascii=draw(st.booleans()))
+    space = st.sampled_from(["", " ", "\t", "\n", "\r\n", "\ufeff", "\u00a0"])
+    return draw(space) + line + draw(space)
+
+
+def _outcome(parse, line):
+    try:
+        return parse(line)
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+
+
+def _edit(old, new):
+    return VALID_LINE.replace(old, new, 1)
+
+
+# One line per check, so each branch meets the oracle on every run.
+_EACH_CHECK = [
+    VALID_LINE, "{not json", "\ufeff" + VALID_LINE, "[1]", _edit('"user_id":"u1",', ""),
+    _edit('"business_id":"b1",', ""), _edit('"stars":5,', ""), _edit('"date":"2016-05-30",', ""),
+    _edit('"user_id":"u1"', '"user_id":""'), _edit('"business_id":"b1"', '"business_id":""'),
+    _edit('"business_id":"b1"', '"business_id":7'),
+    _edit('"stars":5', '"stars":true'), _edit('"stars":5', '"stars":"5"'),
+    _edit('"stars":5', '"stars":2.5'), _edit('"stars":5', '"stars":4.0'),
+    _edit('"stars":5', '"stars":6'), _edit('"stars":5', '"stars":NaN'),
+    _edit('"date":"2016-05-30"', '"date":20160530'),
+    _edit('"date":"2016-05-30"', '"date":"2016-02-30"'),
+    _edit('"text":"ok"', '"text":5'), _edit('"text":"ok"', '"text":"\\ud800"'),
+    _edit('"user_id":"u1"', '"user_id":"\\udc00"'), _edit('"text":"ok"', '"text":"\\ud83d\\ude00"'),
+    _edit('"text":"ok"', '"text":"caf\u00e9 \ud800"'),
+    _edit('"votes":{"funny":0,"useful":1,"cool":0}', '"votes":[1]'),
+    _edit('"useful":1', '"useful":"lots"'), _edit('"useful":1', '"useful":"3"'),
+    _edit('"useful":1', '"useful":2.0'), _edit('"useful":1', '"useful":2.7'),
+    _edit('"useful":1', '"useful":true'), _edit('"useful":1', '"useful":null'),
+    _edit('"funny":0', '"funny":-1'), _edit('"cool":0', '"cool":-2'),
+    _edit('"cool":0', '"cool":-2.0'), _edit('"useful":1', '"useful":-1.5'),
+]
+
+
+class TestParseRecordDifferential:
+    @pytest.mark.parametrize("line", _EACH_CHECK)
+    def test_each_check(self, line):
+        assert _outcome(parse_record, line) == _outcome(_oracle_parse_record, line)
+
+    @given(st.one_of(
+        _record_lines(),
+        _record_lines().flatmap(lambda line: st.integers(0, len(line)).map(lambda n: line[:n])),
+        _JSON.map(json.dumps),
+        st.text(max_size=20),
+    ))
+    @settings(max_examples=500, deadline=None)
+    def test_same_record_or_same_error(self, line):
+        """The same record, or the same exception type and message, as the
+        first form of the parser. A vote such as "lots" is the ValueError
+        of int() in both."""
+        assert _outcome(parse_record, line) == _outcome(_oracle_parse_record, line)
 
 class TestLoadCorpus:
     def test_empty_stream(self):

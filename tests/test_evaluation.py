@@ -320,12 +320,15 @@ class TestEvaluateRanksOnce:
         assert report.text() == per_k.text()
 
     def test_each_test_review_encoded_once(self, monkeypatch):
+        """One array encoding of the queries, over exactly the test
+        records, in split order."""
         calls = []
-        encode_query = evaluation.encode_query
-        monkeypatch.setattr(evaluation, "encode_query",
-                            lambda r, space: calls.append(r) or encode_query(r, space))
+        from_records = QueryBlock.from_records.__func__
+        monkeypatch.setattr(QueryBlock, "from_records", classmethod(
+            lambda cls, records, space: calls.append(list(records)) or from_records(
+                cls, records, space)))
         self.evaluate()
-        assert calls == self.test
+        assert calls == [self.test]
 
     def test_cold_start_targets_miss_at_every_k(self):
         """At K = V every known target hits and no cold-start one does."""
@@ -349,6 +352,13 @@ class TestEvaluateRanksOnce:
         self.candidates = candidate_embeddings(
             self.params, aggregate_candidates(self.train, self.space))
         with pytest.raises(FloatingPointError):
+            self.evaluate()
+
+    def test_nan_in_rating_head_raises(self):
+        """The library's own check, which the CLI's load-time tensor check
+        now pre-empts for a NaN read from a checkpoint."""
+        self.params.tensors["rating_head.w"][0, 0] = np.nan
+        with pytest.raises(FloatingPointError, match="^non-finite rating predictions$"):
             self.evaluate()
 
     def test_ranks_the_candidates_it_is_given(self):

@@ -1,7 +1,9 @@
 """Vocabularies, tokenization, hashing, and encodings."""
 
+import datetime
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from poirec.features import (
     build_vocabularies,
     encode_candidate,
     encode_date,
+    encode_dates,
     encode_query,
     encode_texts,
     hash_token,
@@ -187,6 +190,41 @@ class TestEncodeDate:
         frac, s, c = encode_date(d, min(lo, hi), max(lo, hi))
         assert 0.0 <= frac <= 1.0
         assert s * s + c * c == pytest.approx(1.0, abs=1e-6)
+
+    def test_every_month(self):
+        """The month angle of the 15th of each month, bit for bit as `math`
+        gives it."""
+        for month in range(1, 13):
+            days = days_from_date(f"2016-{month:02d}-15")
+            angle = 2.0 * math.pi * (month - 1) / 12.0
+            assert encode_date(days, 0, 20000)[1:] == (math.sin(angle), math.cos(angle))
+
+    @given(st.lists(st.integers(-719_162, 2_932_896), max_size=40),  # 0001-01-01..9999-12-31
+           st.integers(-20_000, 40_000), st.integers(0, 20_000))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_the_scalar_rule(self, days, lo, width):
+        """Each row of `encode_dates` is the scalar rule `encode_date` had
+        before it became a one-row call, bit for bit: dates inside, before
+        and after the range, and a degenerate range (width 0)."""
+        hi = lo + width
+        got = encode_dates(np.array(days, dtype=np.int64), lo, hi)
+        assert got.shape == (len(days), 3) and got.dtype == np.float64
+        want = np.array([_scalar_date_rule(d, lo, hi) for d in days]).reshape(-1, 3)
+        assert got.tobytes() == want.tobytes()
+
+
+def _scalar_date_rule(date_days, corpus_min, corpus_max):
+    """The per-record date features as first written: a clamped fraction of
+    the range (0.5 for a degenerate one) and the month angle from
+    `datetime`."""
+    if corpus_max > corpus_min:
+        frac = (date_days - corpus_min) / (corpus_max - corpus_min)
+        frac = min(1.0, max(0.0, frac))
+    else:
+        frac = 0.5
+    month = datetime.date.fromordinal(date_days + datetime.date(1970, 1, 1).toordinal()).month
+    angle = 2.0 * math.pi * (month - 1) / 12.0
+    return (frac, math.sin(angle), math.cos(angle))
 
 
 class TestEncoders:

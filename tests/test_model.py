@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from poirec.corpus import InteractionRecord
+from poirec.corpus import InteractionRecord, days_from_date
 from poirec.features import (
     CandidateFeatures,
     FeatureConfig,
     FeatureSpace,
     QueryFeatures,
     encode_candidate,
+    encode_query,
     encode_texts,
 )
 from poirec.model import (
@@ -324,3 +327,46 @@ class TestBlocksFromText:
     def test_one_review_per_row(self):
         with pytest.raises(ValueError):
             CandidateBlock.from_text(self.index[:-1], self.text, self.BUCKETS)
+
+
+_DATES = st.builds(lambda y, m, d: days_from_date(f"{y:04d}-{m:02d}-{d:02d}"),
+                   st.integers(1990, 2030), st.integers(1, 12), st.integers(1, 28))
+
+
+class TestQueryBlockFromRecords:
+    @given(
+        train=st.lists(st.tuples(st.sampled_from("abcd"), _DATES), min_size=1, max_size=8),
+        degenerate=st.booleans(),
+        queries=st.lists(st.tuples(st.sampled_from("abcdxyz"), _DATES), max_size=30),
+        use_date=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_per_record_encoding(self, train, degenerate, queries, use_date):
+        """The array encoder gives the bytes of one `encode_query` per
+        record: users the train partition never saw (x, y, z) map to 0,
+        dates outside the train range clamp, and a train partition on one
+        date gives the degenerate range."""
+        if degenerate:
+            train = [(user, train[0][1]) for user, _ in train]
+        space = FeatureSpace.build([InteractionRecord(u, "b", 3, "", d) for u, d in train],
+                                   FeatureConfig(use_date=use_date))
+        records = [InteractionRecord(u, "b", 3, "", d) for u, d in queries]
+        got = QueryBlock.from_records(records, space)
+        want = QueryBlock.from_features([encode_query(r, space) for r in records])
+        for name in ("user_idx", "date"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_every_month_and_unseen_user(self):
+        train = [InteractionRecord("a", "b", 3, "", days_from_date("2016-03-01")),
+                 InteractionRecord("b", "b", 3, "", days_from_date("2016-09-01"))]
+        space = FeatureSpace.build(train, FeatureConfig())
+        records = [InteractionRecord(u, "b", 3, "", days_from_date(f"2016-{m:02d}-10"))
+                   for u in ("a", "stranger") for m in range(1, 13)]
+        got = QueryBlock.from_records(records, space)
+        want = QueryBlock.from_features([encode_query(r, space) for r in records])
+        assert got.user_idx.tolist() == [1] * 12 + [0] * 12
+        assert got.date.tobytes() == want.date.tobytes()
+        assert len(set(map(tuple, got.date[:12, 1:].tolist()))) == 12  # one angle per month
+        assert got.date[:, 0].min() == 0.0 and got.date[:, 0].max() == 1.0  # clamped
