@@ -32,13 +32,7 @@ def _parse_bool(value: str) -> bool:
         return True
     if v in ("false", "0", "no"):
         return False
-    raise ConfigError(f"not a boolean: {value!r}")
-
-
-def _owned(parser, owner: type, name: str):
-    """The spec entry of a key whose default and range `owner` holds: its
-    field default, and a validator that builds an `owner` with the value."""
-    return parser, getattr(owner, name), lambda value: owner(**{name: value})
+    raise ValueError(f"not a boolean: {value!r}")
 
 
 def _k_list(text: str) -> tuple[int, ...]:
@@ -46,42 +40,44 @@ def _k_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip())
 
 
-# key -> (parser, default, validator). A validator raises ValueError on a
-# value the parser accepted but the program cannot run with; None accepts
-# every parsed value.
+# key -> (parser, owner, field): `owner` holds the key's default and range in
+# `field`, and `_build` makes it. A parser raises ValueError on bad text.
 _CONFIG_SPEC = {
-    "use_text": (_parse_bool, FeatureConfig.use_text, None),
-    "use_date": (_parse_bool, FeatureConfig.use_date, None),
-    "text_hash_buckets": _owned(int, FeatureConfig, "text_hash_buckets"),
-    "embed_dim": _owned(int, TrainConfig, "embed_dim"),
-    "batch_size": _owned(int, TrainConfig, "batch_size"),
-    "epochs": _owned(int, TrainConfig, "epochs"),
-    "seed": _owned(int, TrainConfig, "seed"),
-    "rating_weight": _owned(float, LossWeights, "rating"),
-    "retrieval_weight": _owned(float, LossWeights, "retrieval"),
-    "schedule": _owned(str, TrainConfig, "schedule"),
-    "softmax_mode": _owned(str, TrainConfig, "softmax_mode"),
-    "learning_rate": _owned(float, TrainConfig, "learning_rate"),
-    "epsilon": _owned(float, TrainConfig, "epsilon"),
-    "split_ratio": _owned(float, EvalConfig, "split_ratio"),
-    "eval_ks": _owned(_k_list, EvalConfig, "ks"),
-    "label_scale": _owned(str, FeatureConfig, "label_scale"),
-    "mnb_buckets": _owned(int, EvalConfig, "mnb_buckets"),
-    # derived at train time, carried in the checkpoint echo
-    "date_min": (int, 0, None),
-    "date_max": (int, 0, None),
+    "use_text": (_parse_bool, FeatureConfig, "use_text"),
+    "use_date": (_parse_bool, FeatureConfig, "use_date"),
+    "text_hash_buckets": (int, FeatureConfig, "text_hash_buckets"),
+    "embed_dim": (int, TrainConfig, "embed_dim"),
+    "batch_size": (int, TrainConfig, "batch_size"),
+    "epochs": (int, TrainConfig, "epochs"),
+    "seed": (int, TrainConfig, "seed"),
+    "rating_weight": (float, LossWeights, "rating"),
+    "retrieval_weight": (float, LossWeights, "retrieval"),
+    "schedule": (str, TrainConfig, "schedule"),
+    "softmax_mode": (str, TrainConfig, "softmax_mode"),
+    "learning_rate": (float, TrainConfig, "learning_rate"),
+    "epsilon": (float, TrainConfig, "epsilon"),
+    "split_ratio": (float, EvalConfig, "split_ratio"),
+    "eval_ks": (_k_list, EvalConfig, "ks"),
+    "label_scale": (str, FeatureConfig, "label_scale"),
+    "mnb_buckets": (int, EvalConfig, "mnb_buckets"),
+    # no owner: `train` derives them, and only the checkpoint echo carries them
+    "date_min": (int, None, None),
+    "date_max": (int, None, None),
 }
 
 
 def _checked(key: str, value):
-    check = _CONFIG_SPEC[key][2]
-    if check is not None:
-        check(value)
+    _, owner, field = _CONFIG_SPEC[key]
+    if owner is not None:
+        owner(**{field: value})
     return value
 
 
-def parse_config_text(text: str) -> dict:
-    cfg = {key: default for key, (_, default, _) in _CONFIG_SPEC.items()}
+def parse_config_text(text: str, echo: bool = False) -> dict:
+    """Key -> value of every config key, its default where `text` does not
+    set it. Only a checkpoint's config `echo` may set a derived key."""
+    cfg = {key: 0 if owner is None else getattr(owner, field)
+           for key, (_, owner, field) in _CONFIG_SPEC.items()}
     first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -92,15 +88,26 @@ def parse_config_text(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_SPEC:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        if _CONFIG_SPEC[key][1] is None and not echo:
+            raise ConfigError(f"line {lineno}: {key} is derived by train; a config may not set it")
         if key in first_line:
             raise ConfigError(f"line {lineno}: {key} repeated (first on line {first_line[key]})")
         first_line[key] = lineno
-        parser = _CONFIG_SPEC[key][0]
         try:
-            cfg[key] = _checked(key, parser(value))
-        except (ValueError, ConfigError) as exc:
+            cfg[key] = _checked(key, _CONFIG_SPEC[key][0](value))
+        except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
     return cfg
+
+
+def _build(owner: type, cfg: dict, **given):
+    """An `owner` from the config keys it owns and the fields in `given`. A
+    rule across keys, such as both loss weights at 0, is a ConfigError."""
+    owned = {field: cfg[key] for key, (_, o, field) in _CONFIG_SPEC.items() if o is owner}
+    try:
+        return owner(**owned, **given)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def config_echo(cfg: dict) -> str:
@@ -118,38 +125,17 @@ def config_echo(cfg: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts such as --k: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1: {value}")
-    return value
-
-
-def _feature_config(cfg: dict) -> FeatureConfig:
-    return FeatureConfig(
-        use_text=cfg["use_text"],
-        use_date=cfg["use_date"],
-        text_hash_buckets=cfg["text_hash_buckets"],
-        label_scale=cfg["label_scale"],
-    )
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        weights=LossWeights(cfg["rating_weight"], cfg["retrieval_weight"]),
-        batch_size=cfg["batch_size"],
-        epochs=cfg["epochs"],
-        seed=cfg["seed"],
-        schedule=cfg["schedule"],
-        softmax_mode=cfg["softmax_mode"],
-        learning_rate=cfg["learning_rate"],
-        epsilon=cfg["epsilon"],
-        embed_dim=cfg["embed_dim"],
-    )
+def _int_at_least(low: int):
+    """argparse type for an integer >= `low`, such as --k (1) or --seed (0)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}: {value}")
+        return value
+    return parse
 
 
 def _load_corpus_file(path: str, skip_malformed: bool = False) -> corpus_mod.Corpus:
@@ -168,7 +154,7 @@ def _load_model(path: str) -> tuple[model.ModelParams, np.ndarray, FeatureSpace,
     tensor <name>", so `evaluate` and `recommend` refuse it alike, whatever
     they go on to score."""
     tensors, user_vocab, business_vocab, echo = ckpt.load_checkpoint(path)
-    cfg = parse_config_text(echo)
+    cfg = parse_config_text(echo, echo=True)
     k = cfg["embed_dim"]
     want = model.param_shapes(
         len(user_vocab), len(business_vocab), k, cfg["use_text"], cfg["text_hash_buckets"]
@@ -190,7 +176,7 @@ def _load_model(path: str) -> tuple[model.ModelParams, np.ndarray, FeatureSpace,
     space = FeatureSpace(
         user_vocab=user_vocab,
         business_vocab=business_vocab,
-        config=_feature_config(cfg),
+        config=_build(FeatureConfig, cfg),
         date_min=cfg["date_min"],
         date_max=cfg["date_max"],
     )
@@ -232,10 +218,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                 raise ConfigError(f"--{key.replace('_', '-')}: {exc}") from exc
     if args.two_phase:
         cfg["schedule"] = "two_phase"
-    try:
-        tconfig = _train_config(cfg)
-    except ValueError as exc:  # a rule across keys, such as both loss weights at 0
-        raise ConfigError(str(exc)) from exc
+    tconfig = _build(TrainConfig, cfg, weights=_build(LossWeights, cfg))
 
     corpus = _load_corpus_file(args.corpus)
     split = corpus_mod.temporal_split(corpus, cfg["split_ratio"])
@@ -244,11 +227,11 @@ def cmd_train(args: argparse.Namespace) -> int:
             f"empty train partition: split_ratio {cfg['split_ratio']} of {len(corpus)} records"
         )
     train_records = [corpus.records[i] for i in split.train]
-    space = FeatureSpace.build(train_records, _feature_config(cfg))
+    space = FeatureSpace.build(train_records, _build(FeatureConfig, cfg))
     cfg["date_min"], cfg["date_max"] = space.date_min, space.date_max
 
     inputs = training.TrainInputs.from_records(train_records, space)
-    if cfg["schedule"] == "two_phase":
+    if tconfig.schedule == "two_phase":
         result = training.two_phase_train(inputs, space, tconfig)
         params, trace = result.params, result.trace
     else:
@@ -267,17 +250,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     params, candidates, space, cfg = _load_model(args.checkpoint)
-    config = EvalConfig(
-        split_ratio=cfg["split_ratio"],
-        ks=tuple(args.k or cfg["eval_ks"]),
-        mnb_buckets=cfg["mnb_buckets"],
-    )
+    if args.k:
+        cfg["eval_ks"] = tuple(args.k)
     report = evaluation.evaluate(
         params,
         candidates,
         _load_corpus_file(args.corpus),
         space,
-        config,
+        _build(EvalConfig, cfg),
         mnb=args.mnb,
         seed=cfg["seed"],
         rating_weight=cfg["rating_weight"],
@@ -307,9 +287,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    err, worst, seed_used = training.reference_gradcheck(
-        seed=args.seed, corrupt=args.corrupt
-    )
+    err, worst, seed_used = training.reference_gradcheck(seed=args.seed, corrupt=args.corrupt)
     print(f"max relative error: {err:.3e} (tensor {worst or 'n/a'}, seed {seed_used})")
     if err < 1e-4:
         print("gradcheck: PASS")
@@ -343,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="compute metrics from a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--k", action="append", type=_positive_int)
+    p.add_argument("--k", action="append", type=_int_at_least(1))
     p.add_argument("--mnb", action="store_true")
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_evaluate)
@@ -351,12 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recommend", help="top-K businesses for a user id")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--user-id", required=True)
-    p.add_argument("--k", type=_positive_int, default=10)
+    p.add_argument("--k", type=_int_at_least(1), default=10)
     p.set_defaults(func=cmd_recommend)
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients by finite differences")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--corrupt", default=None, help=argparse.SUPPRESS)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    # the tiny gradient-check model has text, so it holds every tensor
+    p.add_argument("--corrupt", default=None, help=argparse.SUPPRESS,
+                   choices=list(model.param_shapes(1, 1, 1, use_text=True, text_buckets=2)))
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

@@ -22,9 +22,8 @@ from poirec.checkpoint import (
 from poirec.cli import (
     _CONFIG_SPEC,
     ConfigError,
-    _feature_config,
+    _build,
     _load_model,
-    _train_config,
     config_echo,
     main,
     parse_config_text,
@@ -226,8 +225,10 @@ class TestConfigParsing:
         assert cfg.keys() == _CONFIG_SPEC.keys()
 
 
-# One bad value per validated key; each must stop `train` before any work.
+# One bad value per owned key; each must stop `train` before any work. The
+# owner refuses it, or, for `use_text` and `use_date`, the parser does.
 BAD_CONFIG_VALUES = [
+    ("use_text", "maybe"), ("use_date", "2"),
     ("batch_size", "0"), ("epochs", "0"), ("embed_dim", "0"), ("seed", "-1"),
     ("text_hash_buckets", "1"), ("mnb_buckets", "1"),
     ("schedule", "foo"), ("softmax_mode", "sampled"), ("label_scale", "log"),
@@ -255,12 +256,27 @@ OWNERS = {
     "mnb_buckets": (EvalConfig, "mnb_buckets"),
 }
 
+# A valid value other than the default for each owned key: (text, parsed value).
+NON_DEFAULT_VALUES = {
+    "use_text": ("false", False), "use_date": ("no", False),
+    "text_hash_buckets": ("64", 64), "label_scale": ("normalized", "normalized"),
+    "rating_weight": ("0.25", 0.25), "retrieval_weight": ("0", 0.0),
+    "embed_dim": ("8", 8), "batch_size": ("16", 16), "epochs": ("3", 3), "seed": ("7", 7),
+    "schedule": ("two_phase", "two_phase"), "softmax_mode": ("in_batch", "in_batch"),
+    "learning_rate": ("0.05", 0.05), "epsilon": ("1e-05", 1e-05),
+    "split_ratio": ("0.8", 0.8), "eval_ks": ("5, 10", (5, 10)), "mnb_buckets": ("128", 128),
+}
+
 
 class TestLibraryAndCliAgree:
     def test_every_setting_has_one_owner(self):
         assert OWNERS.keys() == _CONFIG_SPEC.keys() - DERIVED_KEYS
+        defaults = parse_config_text("")
         for key, (owner, name) in OWNERS.items():
-            assert _CONFIG_SPEC[key][1] == getattr(owner, name), key
+            assert _CONFIG_SPEC[key][1:] == (owner, name), key
+            assert defaults[key] == getattr(owner, name), key
+        for key in DERIVED_KEYS:
+            assert _CONFIG_SPEC[key][1:] == (None, None), key
 
     @pytest.mark.parametrize("key, value", BAD_CONFIG_VALUES)
     def test_owner_rejects_the_bad_value(self, key, value):
@@ -271,19 +287,42 @@ class TestLibraryAndCliAgree:
 
     def test_empty_config_builds_the_default_types(self):
         cfg = parse_config_text("")
-        assert _feature_config(cfg) == FeatureConfig()
-        assert _train_config(cfg) == TrainConfig()
+        assert _build(FeatureConfig, cfg) == FeatureConfig()
+        assert _build(TrainConfig, cfg, weights=_build(LossWeights, cfg)) == TrainConfig()
+        assert _build(EvalConfig, cfg) == EvalConfig()
+
+    @pytest.mark.parametrize("key", sorted(OWNERS))
+    def test_every_owned_key_reaches_its_owner(self, key):
+        text, value = NON_DEFAULT_VALUES[key]
+        owner, name = OWNERS[key]
+        assert value != getattr(owner, name)
+        built = _build(owner, parse_config_text(f"{key} = {text}\n"))
+        assert getattr(built, name) == value
 
 
 class TestConfigValidation:
     def test_every_validated_key_has_a_bad_value(self):
-        validated = {key for key, (_, _, check) in _CONFIG_SPEC.items() if check}
+        validated = {key for key, (_, owner, _) in _CONFIG_SPEC.items() if owner}
         assert validated == {key for key, _ in BAD_CONFIG_VALUES}
 
     def test_defaults_pass_their_validators(self):
-        for key, (_, default, check) in _CONFIG_SPEC.items():
-            if check:
-                check(default)
+        cfg = parse_config_text("")
+        for key, (_, owner, name) in _CONFIG_SPEC.items():
+            if owner:
+                owner(**{name: cfg[key]})
+
+    @pytest.mark.parametrize("key", sorted(DERIVED_KEYS))
+    def test_train_config_may_not_set_a_derived_key(self, key, corpus_file, tmp_path, capsys):
+        cfg = tmp_path / "derived.cfg"
+        cfg.write_text(f"epochs = 1\n{key} = 5\n")
+        out = tmp_path / "m.ckpt"
+        rc = main(["train", "--corpus", str(corpus_file), "--config", str(cfg),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: line 2: {key} is derived by train; a config may not set it\n")
+        assert not out.exists()
+        assert parse_config_text(f"{key} = 5\n", echo=True)[key] == 5
 
     @pytest.mark.parametrize("key, value", BAD_CONFIG_VALUES)
     def test_bad_value_is_a_clean_error(self, key, value, corpus_file, tmp_path, capsys):
@@ -695,6 +734,16 @@ class TestGradcheck:
         rc = main(["gradcheck", "--seed", "0", "--corrupt", "rating_head.w"])
         assert rc == 2
         assert "FAIL" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--seed", "-1"], ["--seed", "x"],
+                                      ["--corrupt", "nosuch"]])
+    def test_bad_argument_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert argv[0] in captured.err and "Traceback" not in captured.err
 
 
 class TestExitCodes:

@@ -1,6 +1,6 @@
 """The repository's own tooling and docs: the pytest configuration reports
-a failing property test, and the README config table matches the config
-spec."""
+a failing property test, and the README config table and its list of each
+key's owning type match the config spec."""
 
 import pathlib
 import re
@@ -54,3 +54,23 @@ def test_readme_config_table_matches_the_spec():
     assert table.keys() == _CONFIG_SPEC.keys() - {"date_min", "date_max"}
     echo = dict(line.split(" = ", 1) for line in config_echo(parse_config_text("")).splitlines())
     assert table == {key: echo[key] for key in table}
+
+
+def readme_config_owners() -> dict[str, tuple[str, str]]:
+    """Key -> (type, field) from the README sentence that lists the keys
+    each type owns: `Type` (`key`, `key` as its field `field`, ...)."""
+    text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    sentence = text[text.index("from the keys it owns:"):text.index("A library caller")]
+    owners = {}
+    for owner, items in re.findall(r"`(?:\w+\.)?(\w+)` \(([^)]*)\)", sentence):
+        for item in items.split(", "):
+            key, *field = re.findall(r"`(\w+)`", item)
+            owners[key] = (owner, *(field or [key]))
+    return owners
+
+
+def test_readme_config_owners_match_the_spec():
+    assert readme_config_owners() == {
+        key: (owner.__name__, field)
+        for key, (_, owner, field) in _CONFIG_SPEC.items() if owner is not None
+    }
