@@ -287,7 +287,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    err, worst, seed_used = training.reference_gradcheck(seed=args.seed, corrupt=args.corrupt)
+    err, worst, seed_used = training.reference_gradcheck(seed=args.seed)
     print(f"max relative error: {err:.3e} (tensor {worst or 'n/a'}, seed {seed_used})")
     if err < 1e-4:
         print("gradcheck: PASS")
@@ -334,9 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients by finite differences")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
-    # the tiny gradient-check model has text, so it holds every tensor
-    p.add_argument("--corrupt", default=None, help=argparse.SUPPRESS,
-                   choices=list(model.param_shapes(1, 1, 1, use_text=True, text_buckets=2)))
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

@@ -28,6 +28,7 @@ from .features import (
     FeatureSpace,
     QueryFeatures,
     TextCSR,
+    check_field_types,
     counts_csr,
     encode_texts,
     star_labels,
@@ -66,6 +67,7 @@ class EvalConfig:
     mnb_buckets: int = 32768
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 < self.split_ratio < 1.0:
             raise ValueError(f"split_ratio must be strictly between 0 and 1: {self.split_ratio}")
         if not self.ks or min(self.ks) < 1:

@@ -21,7 +21,7 @@ import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -59,6 +59,23 @@ class Vocabulary:
         return self.ids[index]
 
 
+_NUMBERS = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
+_type_hints = functools.cache(get_type_hints)  # a class's field types; evaluating them is slow
+
+
+def check_field_types(config) -> None:
+    """ValueError unless each field of the dataclass `config` holds its
+    annotated type, so a range check never compares a string. An int is a
+    float too, a bool is neither, and `tuple[int, ...]` is a tuple of ints."""
+    for name, kind in _type_hints(type(config)).items():
+        value = getattr(config, name)
+        many = kind == tuple[int, ...]
+        want = _NUMBERS.get(int if many else kind, kind)
+        for v in value if many and isinstance(value, tuple) else (value,):
+            if not isinstance(v, want) or isinstance(v, bool) != (kind is bool):
+                raise ValueError(f"{name} must be {kind if many else kind.__name__}: {value!r}")
+
+
 LABEL_SCALES = ("raw", "normalized")
 
 
@@ -70,6 +87,7 @@ class FeatureConfig:
     label_scale: str = "raw"  # rating labels, see `star_labels`
 
     def __post_init__(self):
+        check_field_types(self)
         if self.text_hash_buckets < 2:
             raise ValueError("text_hash_buckets must be >= 2")
         if self.label_scale not in LABEL_SCALES:

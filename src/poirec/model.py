@@ -221,48 +221,74 @@ class CandidateBlock:
 
 @dataclass
 class TowerCache:
-    """Forward intermediates needed by backprop."""
+    """One tower's forward intermediates, and its input layout for the
+    backward: x[:, :k] is rows `rows` of `{side}_table`; x[:, k:] is the
+    date (user) or `pool @ text_table` (business; zero when `pool` is None)."""
 
+    side: str  # "user" | "business"
     x: np.ndarray  # tower input [n, d_in]
     pre1: np.ndarray  # hidden preactivation [n, 2k]
     h1: np.ndarray  # hidden activation [n, 2k]
     out: np.ndarray  # tower output [n, k]
+    rows: np.ndarray  # [n] int
+    pool: Optional[np.ndarray] = None  # [n, text buckets]
+
+    def backward(self, params: ModelParams, d_out: np.ndarray, grads: dict) -> None:
+        """Add to `grads` what the gradient `d_out` w.r.t. the tower output
+        gives the tower and the tables it read. Dates are not parameters."""
+        t = params.tensors
+        prefix = f"{self.side}_tower"
+        grads[f"{prefix}.1.w"] += self.h1.T @ d_out
+        grads[f"{prefix}.1.b"] += d_out.sum(axis=0)
+        d_h1 = (d_out @ t[f"{prefix}.1.w"].T) * (self.pre1 > 0)
+        grads[f"{prefix}.0.w"] += self.x.T @ d_h1
+        grads[f"{prefix}.0.b"] += d_h1.sum(axis=0)
+        d_x = d_h1 @ t[f"{prefix}.0.w"].T
+        k = params.k
+        np.add.at(grads[f"{self.side}_table"], self.rows, d_x[:, :k])
+        if self.pool is not None:
+            grads["text_table"] += self.pool.T @ d_x[:, k:]
 
 
-def _tower_forward(params: ModelParams, prefix: str, x: np.ndarray) -> TowerCache:
+def _tower_forward(params: ModelParams, side: str, rows: np.ndarray, rest: np.ndarray,
+                   pool: Optional[np.ndarray] = None) -> TowerCache:
+    """`side`'s tower over the input [rows `rows` of `{side}_table`, `rest`];
+    a row outside the table raises."""
     t = params.tensors
+    table = t[f"{side}_table"]
+    if rows.size and (rows.min() < 0 or rows.max() >= table.shape[0]):
+        raise IndexOutOfBounds(f"index outside the {table.shape[0]} rows of {side}_table")
+    x = np.concatenate([table[rows], rest], axis=1)
+    prefix = f"{side}_tower"
     pre1 = x @ t[f"{prefix}.0.w"] + t[f"{prefix}.0.b"]
     h1 = np.maximum(pre1, 0)
     out = h1 @ t[f"{prefix}.1.w"] + t[f"{prefix}.1.b"]
-    return TowerCache(x=x, pre1=pre1, h1=h1, out=out)
-
-
-def _embed(params: ModelParams, table_name: str, idx: np.ndarray) -> np.ndarray:
-    """Rows `idx` of an embedding table; any index outside it raises."""
-    table = params.tensors[table_name]
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise IndexOutOfBounds(f"index outside the {table.shape[0]} rows of {table_name}")
-    return table[idx]
+    return TowerCache(side=side, x=x, pre1=pre1, h1=h1, out=out, rows=rows, pool=pool)
 
 
 def forward_users(params: ModelParams, block: QueryBlock) -> TowerCache:
-    user = _embed(params, "user_table", block.user_idx)
-    x = np.concatenate([user, block.date.astype(params.dtype)], axis=1)
-    return _tower_forward(params, "user_tower", x)
+    return _tower_forward(params, "user", block.user_idx, block.date.astype(params.dtype))
+
+
+def _text_pool(params: ModelParams, block: CandidateBlock) -> Optional[np.ndarray]:
+    """`block`'s pooling matrix over the text table, or None when its text
+    does not count: the model has no text, or the block no bucket."""
+    if not params.use_text or block.buckets.size == 0:
+        return None
+    return block.pooling_matrix(params.tensors["text_table"].shape[0], params.dtype)
 
 
 def pooled_text(params: ModelParams, block: CandidateBlock) -> np.ndarray:
     """Count-weighted mean of text-bucket embeddings, zero where no text."""
-    if not params.use_text or block.buckets.size == 0:
+    pool = _text_pool(params, block)
+    if pool is None:
         return np.zeros((len(block), params.k), dtype=params.dtype)
-    table = params.tensors["text_table"]
-    return block.pooling_matrix(table.shape[0], params.dtype) @ table
+    return pool @ params.tensors["text_table"]
 
 
 def forward_candidates(params: ModelParams, block: CandidateBlock) -> TowerCache:
-    business = _embed(params, "business_table", block.business_idx)
-    x = np.concatenate([business, pooled_text(params, block)], axis=1)
-    return _tower_forward(params, "business_tower", x)
+    return _tower_forward(params, "business", block.business_idx, pooled_text(params, block),
+                          _text_pool(params, block))
 
 
 def retrieval_project(params: ModelParams, side: str, out: np.ndarray) -> np.ndarray:

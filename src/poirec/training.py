@@ -4,36 +4,35 @@ Rating loss is the mean squared error of the calibrated rating prediction;
 retrieval loss is softmax cross-entropy of the true candidate against a
 candidate set, stabilized by max-subtraction. The joint objective is the
 weighted sum of the two. The loss functions and the hand-written backprop
-share one forward per task; gradients are verified against central finite
-differences in float64.
+share one forward per task, and below the heads each tower's forward
+record runs its own backward; gradients are verified against central
+finite differences in float64.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .features import (
     CandidateFeatures,
-    FeatureConfig,
     FeatureSpace,
     QueryFeatures,
-    aggregate_candidates,
+    check_field_types,
     encode_candidate,
-    encode_query,
     star_labels,
     sum_candidates,
 )
-from .corpus import InteractionRecord, days_from_date
+from .corpus import InteractionRecord
 from .model import (
     CandidateBlock,
     ModelParams,
     QueryBlock,
-    TowerCache,
     forward_candidates,
     forward_users,
     init_params,
@@ -53,6 +52,7 @@ class LossWeights:
     retrieval: float = 0.5
 
     def __post_init__(self):
+        check_field_types(self)
         if not (0 <= self.rating < math.inf and 0 <= self.retrieval < math.inf):
             raise ValueError(f"weights must be finite and at least 0: {self}")
         if self.rating + self.retrieval <= 0:
@@ -72,12 +72,15 @@ class TrainConfig:
     embed_dim: int = 32
 
     def __post_init__(self):
+        check_field_types(self)
         for name, low in (("batch_size", 1), ("epochs", 1), ("embed_dim", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}: {getattr(self, name)}")
+        # Adagrad runs in float32, where a smaller value is 0 and a larger one inf.
+        lo, hi = float(np.finfo(np.float32).tiny), float(np.finfo(np.float32).max)
         for name in ("learning_rate", "epsilon"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and greater than 0: {getattr(self, name)}")
+            if not lo <= (value := getattr(self, name)) <= hi:
+                raise ValueError(f"{name} must be a normal float32, {lo:.3g} to {hi:.3g}: {value}")
         if self.schedule not in ("joint", "two_phase"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.softmax_mode not in ("full_corpus", "in_batch"):
@@ -220,47 +223,15 @@ def joint_loss(batch: Batch, params: ModelParams, weights: LossWeights) -> float
     return total
 
 
-def _tower_backward(
-    params: ModelParams, prefix: str, cache: TowerCache, d_out: np.ndarray, grads: dict
-) -> np.ndarray:
-    """Backprop one tower; returns the gradient w.r.t. the tower input."""
-    t = params.tensors
-    grads[f"{prefix}.1.w"] += cache.h1.T @ d_out
-    grads[f"{prefix}.1.b"] += d_out.sum(axis=0)
-    d_h1 = (d_out @ t[f"{prefix}.1.w"].T) * (cache.pre1 > 0)
-    grads[f"{prefix}.0.w"] += cache.x.T @ d_h1
-    grads[f"{prefix}.0.b"] += d_h1.sum(axis=0)
-    return d_h1 @ t[f"{prefix}.0.w"].T
-
-
-def _towers_backward(
-    params: ModelParams, grads: dict, qblock: QueryBlock, q: TowerCache, d_u: np.ndarray,
-    cblock: CandidateBlock, c: TowerCache, d_v: np.ndarray,
-) -> None:
-    """Backprop both towers from their output gradients into the towers and
-    the embedding tables. Date-feature columns are inputs, not parameters."""
-    k = params.k
-    d_x = _tower_backward(params, "user_tower", q, d_u, grads)
-    np.add.at(grads["user_table"], qblock.user_idx, d_x[:, :k])
-    d_x = _tower_backward(params, "business_tower", c, d_v, grads)
-    np.add.at(grads["business_table"], cblock.business_idx, d_x[:, :k])
-    if params.use_text and cblock.buckets.size:
-        text_grad = grads["text_table"]
-        text_grad += cblock.pooling_matrix(text_grad.shape[0], params.dtype).T @ d_x[:, k:]
-
-
-def _rating_backward(
-    batch: Batch, params: ModelParams, cache: tuple, weight: float, grads: dict
-) -> None:
+def _rating_backward(params: ModelParams, cache: tuple, weight: float, grads: dict) -> None:
     """Add `weight` times the rating loss gradient to `grads`."""
     q, c, diff = cache
     d_pred = (weight * 2.0 / len(diff)) * diff.astype(params.dtype)  # [n]
     grads["rating_head.w"] += (q.out * c.out).T @ d_pred[:, None]
     grads["rating_head.b"] += np.array([d_pred.sum()], dtype=params.dtype)
     d_uv = d_pred[:, None] * params.tensors["rating_head.w"][:, 0][None, :]
-    _towers_backward(
-        params, grads, batch.query_block, q, d_uv * c.out, batch.pair_block, c, d_uv * q.out
-    )
+    q.backward(params, d_uv * c.out, grads)
+    c.backward(params, d_uv * q.out, grads)
 
 
 def _retrieval_head_backward(
@@ -296,12 +267,12 @@ def loss_and_gradients(
     l_rating = l_retrieval = 0.0
     if weights.rating != 0.0:
         l_rating, cache = _rating_forward(batch, params)
-        _rating_backward(batch, params, cache, weights.rating, grads)
+        _rating_backward(params, cache, weights.rating, grads)
     if weights.retrieval != 0.0:
         l_retrieval, cache = _retrieval_forward(batch, params)
         d_u, d_v = _retrieval_head_backward(batch, params, cache, weights.retrieval, grads)
-        q, c = cache[:2]
-        _towers_backward(params, grads, batch.query_block, q, d_u, batch.softmax_block, c, d_v)
+        cache[0].backward(params, d_u, grads)
+        cache[1].backward(params, d_v, grads)
     return l_rating, l_retrieval, grads
 
 
@@ -315,23 +286,15 @@ def gradients(batch: Batch, params: ModelParams, weights: LossWeights) -> dict[s
 
 
 def finite_difference_check(
-    batch: Batch,
-    params: ModelParams,
-    weights: LossWeights,
-    step: float = 1e-3,
-    corrupt: Optional[str] = None,
+    batch: Batch, params: ModelParams, weights: LossWeights, step: float = 1e-3
 ) -> tuple[float, str]:
     """Compare analytic gradients to central differences in float64.
 
-    Returns (max relative error, name of the worst tensor). `corrupt`
-    perturbs one analytic gradient entry first (negative-control hook).
+    Returns (max relative error, name of the worst tensor).
     """
     p64 = params.astype(np.float64)
     grads = gradients(batch, p64, weights)
-    if corrupt is not None:
-        grads[corrupt].flat[0] += 1.0
-    worst = 0.0
-    worst_name = ""
+    worst = (0.0, "")
     for name, tensor in p64.tensors.items():
         flat = tensor.reshape(-1)
         g = grads[name].reshape(-1)
@@ -344,53 +307,31 @@ def finite_difference_check(
             flat[i] = orig
             numeric = (up - down) / (2.0 * step)
             rel = abs(g[i] - numeric) / max(abs(g[i]), abs(numeric), 1.0)
-            if rel > worst:
-                worst = rel
-                worst_name = name
-    return worst, worst_name
-
-
-_TINY_TOKENS = (
-    "good", "bad", "tasty", "slow", "cozy", "loud", "fresh", "stale",
-    "warm", "bland", "crisp", "salty",
-)
+            worst = max(worst, (rel, name), key=lambda pair: pair[0])  # the first on a tie
+    return worst
 
 
 def _build_tiny_setup(seed: int) -> tuple[ModelParams, Batch]:
-    """A small randomized model and batch for gradient verification:
-    k=4, 6 users, 5 businesses, text and date features on, batch of 8.
+    """A small randomized model and batch for gradient verification: k=4,
+    6 users, 5 businesses, 16 text buckets, text and date features on, and a
+    full-corpus batch of 8. Each corpus row sums its business's review
+    counts, so row 0 (the OOV entry) has no text.
     """
     rng = np.random.default_rng(seed)
-    base = days_from_date("2016-01-01")
-    records = []
+    params = init_params(seed, num_users=6, num_businesses=5, k=4, use_text=True,
+                         use_date=True, text_buckets=16)
+    queries, cands = [], []
+    corpus = [Counter() for _ in range(5)]
     for _ in range(8):
-        n_tok = int(rng.integers(3, 8))
-        text = " ".join(rng.choice(_TINY_TOKENS, size=n_tok))
-        records.append(
-            InteractionRecord(
-                user_id=f"u{rng.integers(0, 6)}",
-                business_id=f"b{rng.integers(0, 5)}",
-                stars=int(rng.integers(1, 6)),
-                text=text,
-                date_days=base + int(rng.integers(0, 365)),
-            )
-        )
-    config = FeatureConfig(use_text=True, use_date=True, text_hash_buckets=16)
-    space = FeatureSpace.build(records, config)
-    params = init_params(
-        seed=seed,
-        num_users=space.num_users,
-        num_businesses=space.num_businesses,
-        k=4,
-        use_text=True,
-        use_date=True,
-        text_buckets=16,
-    )
-    queries = [encode_query(r, space) for r in records]
-    cands = [encode_candidate(r, space) for r in records]
-    labels = np.array([float(r.stars) for r in records])
-    batch = Batch.full_corpus(queries, cands, labels, aggregate_candidates(records, space))
-    return params, batch
+        date = tuple(rng.uniform(-1.0, 1.0, size=3).tolist())
+        queries.append(QueryFeatures(int(rng.integers(1, 6)), date))
+        business = int(rng.integers(1, 5))
+        text = Counter(rng.integers(0, 16, size=int(rng.integers(3, 8))).tolist())
+        cands.append(CandidateFeatures(business, dict(text)))
+        corpus[business].update(text)
+    labels = rng.integers(1, 6, size=8).astype(np.float64)
+    corpus_cands = [CandidateFeatures(i, dict(c)) for i, c in enumerate(corpus)]
+    return params, Batch.full_corpus(queries, cands, labels, corpus_cands)
 
 
 def _kink_margin(params: ModelParams, batch: Batch) -> float:
@@ -404,11 +345,7 @@ def _kink_margin(params: ModelParams, batch: Batch) -> float:
     return min(float(np.abs(cache.pre1).min()) for cache in caches)
 
 
-def reference_gradcheck(
-    seed: int = 0,
-    step: float = 1e-3,
-    corrupt: Optional[str] = None,
-) -> tuple[float, str, int]:
+def reference_gradcheck(seed: int = 0, step: float = 1e-3) -> tuple[float, str, int]:
     """Run the finite-difference check on the tiny reference model.
 
     Scans forward from `seed` for a configuration whose rectifier
@@ -423,7 +360,7 @@ def reference_gradcheck(
             break
     else:
         raise RuntimeError("no kink-free seed found")
-    err, worst = finite_difference_check(batch, params, weights, step=step, corrupt=corrupt)
+    err, worst = finite_difference_check(batch, params, weights, step=step)
     return err, worst, s
 
 

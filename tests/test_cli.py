@@ -23,7 +23,9 @@ from poirec.cli import (
     _CONFIG_SPEC,
     ConfigError,
     _build,
+    _k_list,
     _load_model,
+    _parse_bool,
     config_echo,
     main,
     parse_config_text,
@@ -233,7 +235,8 @@ BAD_CONFIG_VALUES = [
     ("text_hash_buckets", "1"), ("mnb_buckets", "1"),
     ("schedule", "foo"), ("softmax_mode", "sampled"), ("label_scale", "log"),
     ("learning_rate", "-5"), ("learning_rate", "0"), ("learning_rate", "nan"),
-    ("epsilon", "0"), ("epsilon", "inf"),
+    ("learning_rate", "1e-50"), ("learning_rate", "1e39"),  # 0 and inf in float32
+    ("epsilon", "0"), ("epsilon", "inf"), ("epsilon", "1e-50"),
     ("rating_weight", "-0.5"), ("rating_weight", "nan"), ("retrieval_weight", "inf"),
     ("split_ratio", "1.5"), ("split_ratio", "0"), ("split_ratio", "1"),
     ("eval_ks", "10,abc"), ("eval_ks", "0"), ("eval_ks", ","),
@@ -267,6 +270,16 @@ NON_DEFAULT_VALUES = {
     "split_ratio": ("0.8", 0.8), "eval_ks": ("5, 10", (5, 10)), "mnb_buckets": ("128", 128),
 }
 
+# Values of the wrong type for the field behind each key's parser. The
+# command line cannot pass them, so only the owner's own check refuses them.
+WRONG_TYPES = {
+    int: (2.5, True, "3", None),
+    float: (True, "0.5", None),
+    _parse_bool: ("false", 1, None),
+    str: (1, None),
+    _k_list: ([5], (5.5,), (True,), "5", None),
+}
+
 
 class TestLibraryAndCliAgree:
     def test_every_setting_has_one_owner(self):
@@ -284,6 +297,15 @@ class TestLibraryAndCliAgree:
         owner, name = OWNERS[key]
         with pytest.raises(ValueError):
             owner(**{name: _CONFIG_SPEC[key][0](value)})
+
+    @pytest.mark.parametrize("key", sorted(OWNERS))
+    def test_owner_rejects_a_wrong_type(self, key):
+        """A library caller gets ValueError, as the command line does, and
+        never a TypeError or a config of the wrong type."""
+        owner, name = OWNERS[key]
+        for value in WRONG_TYPES[_CONFIG_SPEC[key][0]]:
+            with pytest.raises(ValueError):
+                owner(**{name: value})
 
     def test_empty_config_builds_the_default_types(self):
         cfg = parse_config_text("")
@@ -334,6 +356,20 @@ class TestConfigValidation:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["learning_rate", "epsilon"])
+    def test_rate_float32_rounds_to_zero_is_refused(self, key, corpus_file, tmp_path, capsys):
+        """Adagrad runs in float32, where 1e-50 is 0: such a run would train
+        nothing, or divide by a zero epsilon, while its echo said 1e-50."""
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(f"epochs = 1\n{key} = 1e-50\n")
+        out = tmp_path / "m.ckpt"
+        rc = main(["train", "--corpus", str(corpus_file), "--config", str(cfg),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error: line 2: bad value for {key}: {key} must be "
+                                       "a normal float32, 1.18e-38 to 3.4e+38: 1e-50\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--rating-weight", "-1"),
@@ -730,11 +766,13 @@ class TestGradcheck:
         assert rc == 0
         assert "gradcheck: PASS" in capsys.readouterr().out
 
-    def test_corruption_negative_control(self, capsys):
-        rc = main(["gradcheck", "--seed", "0", "--corrupt", "rating_head.w"])
+    def test_corruption_negative_control(self, capsys, corrupt_gradients):
+        corrupt_gradients("rating_head.w")
+        rc = main(["gradcheck", "--seed", "0"])
         assert rc == 2
-        assert "FAIL" in capsys.readouterr().err
+        assert "gradcheck: FAIL on tensor rating_head.w" in capsys.readouterr().err
 
+    # `--corrupt` stands for any unknown option.
     @pytest.mark.parametrize("argv", [["--seed", "-1"], ["--seed", "x"],
                                       ["--corrupt", "nosuch"]])
     def test_bad_argument_is_a_usage_error(self, argv, capsys):

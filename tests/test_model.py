@@ -285,6 +285,53 @@ class TestPoolingOperator:
         assert first.shape == (len(self.FEATURES), 16) and first.dtype == np.float32
 
 
+class TestTowerBackward:
+    """Each tower's forward record backpropagates the scalar sum(R * out),
+    for a fixed random R, as float64 central differences do, into every
+    tensor: the tower, its embedding table and, only for text that counts,
+    the text table."""
+
+    QUERIES = [QueryFeatures(1, (0.2, 0.5, -0.5)), QueryFeatures(3), QueryFeatures(1, (0.9, -1, 0))]
+    TEXTED = [CandidateFeatures(2, {3: 2, 7: 1}), CandidateFeatures(4, {7: 1}),
+              CandidateFeatures(2, {}), CandidateFeatures(0)]
+    TEXT_FREE = [CandidateFeatures(2), CandidateFeatures(4, {}), CandidateFeatures(2)]
+
+    @pytest.mark.parametrize("tower, use_text, features", [
+        ("user", True, QUERIES), ("user", False, QUERIES),
+        ("business", True, TEXTED), ("business", False, TEXTED),
+        ("business", True, TEXT_FREE),  # the model has text, the block none
+    ], ids=["user-text-model", "user", "business-text", "business-text-off",
+            "business-textless-block"])
+    def test_matches_central_differences(self, tower, use_text, features):
+        params = tiny_params(seed=9, use_text=use_text, dtype=np.float64)
+        if tower == "user":
+            block, forward = QueryBlock.from_features(features), forward_users
+        else:
+            block, forward = CandidateBlock.from_features(features), forward_candidates
+        r = np.random.default_rng(1).normal(size=(len(block), params.k))
+        cache = forward(params, block)
+        assert np.abs(cache.pre1).min() > 1e-3  # no rectifier kink within a step
+        grads = params.zeros_like_tensors()
+        cache.backward(params, r, grads)
+
+        step = 1e-6
+        for name, tensor in params.tensors.items():
+            flat = tensor.reshape(-1)
+            numeric = np.zeros(flat.size)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + step
+                up = float((forward(params, block).out * r).sum())
+                flat[i] = orig - step
+                down = float((forward(params, block).out * r).sum())
+                flat[i] = orig
+                numeric[i] = (up - down) / (2.0 * step)
+            np.testing.assert_allclose(grads[name].reshape(-1), numeric, rtol=1e-6, atol=1e-8,
+                                       err_msg=name)
+        if use_text:  # exactly 0 unless the block's text counts
+            assert grads["text_table"].any() == (features is self.TEXTED)
+
+
 class TestBlocksFromText:
     """Blocks built from `encode_texts` arrays equal, bit for bit, the
     blocks built from per-review feature objects."""

@@ -1,7 +1,10 @@
 """The repository's own tooling and docs: the pytest configuration reports
-a failing property test, and the README config table and its list of each
-key's owning type match the config spec."""
+a failing property test, the README config table and its list of each
+key's owning type match the config spec, and every per-layer benchmark
+metric names code that exists."""
 
+import importlib
+import json
 import pathlib
 import re
 import subprocess
@@ -74,3 +77,20 @@ def test_readme_config_owners_match_the_spec():
         key: (owner.__name__, field)
         for key, (_, owner, field) in _CONFIG_SPEC.items() if owner is not None
     }
+
+
+def test_every_traced_benchmark_name_resolves():
+    """The benchmark traces poirec functions by name, so a renamed or deleted
+    one would read 0 for good: each `<layer>[.<name>].self_s` and
+    `<layer>.<name>.calls` metric must name a poirec module, or a function
+    or class method in it."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    traced = [m["name"].rsplit(".", 1)[0] for m in spec["per_layer"]
+              if m["name"].endswith((".self_s", ".calls"))]
+    assert traced
+    for name in traced:
+        layer, *path = name.split(".")
+        target = importlib.import_module(f"poirec.{layer}")
+        for part in path:
+            target = getattr(target, part, None)
+            assert callable(target), name

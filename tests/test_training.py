@@ -17,7 +17,7 @@ from poirec.features import (
     encode_candidate,
     encode_query,
 )
-from poirec.model import CandidateBlock, init_params
+from poirec.model import CandidateBlock, TowerCache, init_params
 from poirec.training import (
     RETRIEVAL_HEAD_TENSORS,
     AdagradState,
@@ -161,6 +161,19 @@ class TestLosses:
             LossWeights(-0.1, 0.5)
         with pytest.raises(ValueError):
             LossWeights(0.0, 0.0)
+        with pytest.raises(ValueError):
+            TrainConfig(weights=(0.5, 0.5))
+
+    @pytest.mark.parametrize("name", ["learning_rate", "epsilon"])
+    def test_rates_stay_in_float32_normal_range(self, name):
+        """Adagrad casts both to float32: below the smallest normal float32
+        they flush toward 0, above the largest they are inf."""
+        tiny, big = float(np.finfo(np.float32).tiny), float(np.finfo(np.float32).max)
+        assert getattr(TrainConfig(**{name: tiny}), name) == tiny
+        assert getattr(TrainConfig(**{name: big}), name) == big
+        for value in (tiny / 2, 1e-50, big * 2):
+            with pytest.raises(ValueError, match=f"{name} must be a normal float32"):
+                TrainConfig(**{name: value})
 
 
 class TestGradients:
@@ -168,11 +181,10 @@ class TestGradients:
         err, worst, seed = reference_gradcheck(seed=0)
         assert err < 1e-4, f"worst tensor {worst} at seed {seed}: {err}"
 
-    def test_negative_control_corruption_detected(self):
+    def test_negative_control_corruption_detected(self, corrupt_gradients):
+        corrupt_gradients("rating_head.w")
         params, batch = tiny()
-        err, worst = finite_difference_check(
-            batch, params, LossWeights(0.5, 0.5), corrupt="rating_head.w"
-        )
+        err, worst = finite_difference_check(batch, params, LossWeights(0.5, 0.5))
         assert err > 1e-2
         assert worst == "rating_head.w"
 
@@ -346,9 +358,9 @@ class TestTrainLoop:
         want_lines = [e.line() for e in trace1] + full_stop_gradient_phase_two(inputs, cfg, want)
 
         calls = Counter()
-        for name in ("loss_and_gradients", "_towers_backward"):
-            real = getattr(training, name)
-            monkeypatch.setattr(training, name,
+        for owner, name in ((training, "loss_and_gradients"), (TowerCache, "backward")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name,
                                 lambda *a, _real=real, _name=name: calls.update([_name]) or _real(*a))
         result = two_phase_train(inputs, space, cfg)
 
@@ -359,7 +371,7 @@ class TestTrainLoop:
         assert any(not np.array_equal(phase1.tensors[n], want.tensors[n])
                    for n in RETRIEVAL_HEAD_TENSORS)
         phase1_batches = cfg.epochs * math.ceil(len(records) / cfg.batch_size)
-        assert calls == {"loss_and_gradients": phase1_batches, "_towers_backward": phase1_batches}
+        assert calls == {"loss_and_gradients": phase1_batches, "backward": 2 * phase1_batches}
 
     def test_two_phase_freezes_everything_but_retrieval_heads(self):
         inputs, space = small_inputs()
