@@ -11,7 +11,7 @@ import datetime
 import functools
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable
 
 import numpy as np
@@ -103,7 +103,6 @@ class Corpus:
 class TemporalSplit:
     train: tuple[int, ...]
     test: tuple[int, ...]
-    ratio: float
 
 
 @dataclass
@@ -120,7 +119,7 @@ class StatsReport:
     num_users: int
     num_businesses: int
     star_histogram: list[int]  # index 0 -> 1 star, ..., index 4 -> 5 stars
-    lengths_by_star: list[StarLengthSummary] = field(default_factory=list)
+    lengths_by_star: list[StarLengthSummary]
 
     def lines(self) -> list[str]:
         out = [
@@ -278,15 +277,13 @@ def temporal_split(corpus: Corpus, ratio: float) -> TemporalSplit:
     days = np.fromiter((r.date_days for r in corpus.records), dtype=np.int64, count=len(corpus))
     order = np.argsort(days, kind="stable").tolist()
     cut = int(ratio * len(corpus))
-    return TemporalSplit(train=tuple(order[:cut]), test=tuple(order[cut:]), ratio=ratio)
+    return TemporalSplit(train=tuple(order[:cut]), test=tuple(order[cut:]))
 
 
 def corpus_stats(corpus: Corpus) -> StatsReport:
     """Star histogram and per-star review-length summary (characters)."""
-    histogram = [0] * 5
     lengths: list[list[int]] = [[] for _ in range(5)]
     for r in corpus.records:
-        histogram[r.stars - 1] += 1
         lengths[r.stars - 1].append(len(r.text))
     summaries = []
     for ls in lengths:
@@ -305,6 +302,6 @@ def corpus_stats(corpus: Corpus) -> StatsReport:
         total=len(corpus),
         num_users=corpus.num_users,
         num_businesses=corpus.num_businesses,
-        star_histogram=histogram,
+        star_histogram=[s.count for s in summaries],
         lengths_by_star=summaries,
     )

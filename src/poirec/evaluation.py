@@ -17,7 +17,7 @@ count dicts, are thin adapters over `mnb_fit` and `mnb_classify`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -157,10 +157,10 @@ class ClassStats:
 @dataclass
 class ConfusionMatrix:
     counts: np.ndarray  # [5, 5], true star (row) x predicted star (col)
-    per_class: list[ClassStats] = field(default_factory=list)
-    micro: Optional[ClassStats] = None
-    macro: Optional[ClassStats] = None
-    weighted: Optional[ClassStats] = None
+    per_class: list[ClassStats]
+    micro: ClassStats
+    macro: ClassStats
+    weighted: ClassStats
 
     @property
     def total(self) -> int:
@@ -232,9 +232,7 @@ def confusion_matrix(true_stars: Sequence[int], predicted_stars: Sequence[int]) 
         )
     else:
         weighted = ClassStats(0.0, 0.0, 0.0, 0)
-    return ConfusionMatrix(
-        counts=counts, per_class=per_class, micro=micro, macro=macro, weighted=weighted
-    )
+    return ConfusionMatrix(counts, per_class, micro, macro, weighted)
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +245,6 @@ class MnbModel:
     classes: list[int]  # observed star classes, ascending
     log_prior: np.ndarray  # [n_classes]
     log_likelihood: np.ndarray  # [n_classes, vocab_size]
-
-    @property
-    def vocab_size(self) -> int:
-        return self.log_likelihood.shape[1]
 
 
 def mnb_fit(
@@ -317,8 +311,6 @@ def mnb_train(
 ) -> MnbModel:
     """`mnb_fit` on (bucket -> count, star class) pairs over a hashed
     vocabulary of vocab_size buckets."""
-    if len(documents) == 0:
-        raise EmptyInput("no training documents")
     indptr, buckets, counts = counts_csr([d for d, _ in documents])
     return mnb_fit([s for _, s in documents], indptr, buckets, counts, vocab_size, alpha)
 
@@ -423,8 +415,6 @@ def evaluate(
         raise ValueError(f"candidates {candidates.shape}, not {(space.num_businesses, params.k)}")
     split = temporal_split(corpus, config.split_ratio)
     test_records = [corpus.records[i] for i in split.test]
-    if not test_records:
-        raise EmptyInput("empty test partition")
 
     test_text = None
     if space.config.use_text or mnb:

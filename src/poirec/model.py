@@ -14,7 +14,7 @@ when absent).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,12 +55,7 @@ class ModelParams:
         return self.astype(self.dtype)
 
     def astype(self, dtype) -> "ModelParams":
-        return ModelParams(
-            k=self.k,
-            use_text=self.use_text,
-            use_date=self.use_date,
-            tensors={n: t.astype(dtype) for n, t in self.tensors.items()},
-        )
+        return replace(self, tensors={n: t.astype(dtype) for n, t in self.tensors.items()})
 
     @property
     def dtype(self):
@@ -315,35 +310,36 @@ def require_finite(values, what: str):
 # ---------------------------------------------------------------------------
 
 
+def _for_task(params: ModelParams, side: str, out: np.ndarray, task: str) -> np.ndarray:
+    """Row 0 of `out`, through `side`'s retrieval head iff `task` is retrieval."""
+    if task == "retrieval":
+        out = retrieval_project(params, side, out)
+    elif task != "rating":
+        raise ValueError(f"task must be 'retrieval' or 'rating', not {task!r}")
+    return out[0]
+
+
 def user_encode(x: QueryFeatures, params: ModelParams, task: str = "retrieval") -> np.ndarray:
     """Encode one query into the common k-space (retrieval head iff asked)."""
     cache = forward_users(params, QueryBlock.from_features([x]))
-    out = cache.out
-    if task == "retrieval":
-        out = retrieval_project(params, "user", out)
-    return out[0]
+    return _for_task(params, "user", cache.out, task)
 
 
 def location_encode(
     y: CandidateFeatures, params: ModelParams, task: str = "retrieval"
 ) -> np.ndarray:
     cache = forward_candidates(params, CandidateBlock.from_features([y]))
-    out = cache.out
-    if task == "retrieval":
-        out = retrieval_project(params, "item", out)
-    return out[0]
+    return _for_task(params, "item", cache.out, task)
 
 
 def score(
     x: QueryFeatures, y: CandidateFeatures, params: ModelParams, task: str = "retrieval"
 ) -> float:
     """Dot-product affinity (retrieval) or calibrated rating prediction."""
+    u = user_encode(x, params, task)
+    v = location_encode(y, params, task)
     if task == "rating":
-        u = user_encode(x, params, task="rating")
-        v = location_encode(y, params, task="rating")
         return float(rating_predict(params, u[None, :], v[None, :])[0])
-    u = user_encode(x, params, task="retrieval")
-    v = location_encode(y, params, task="retrieval")
     return float(u @ v)
 
 

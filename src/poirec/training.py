@@ -472,11 +472,13 @@ def _fit(
     params, weights)` returns a batch's rating loss, retrieval loss and the
     gradients of the tensors it trains. Shuffling is seeded with `config.seed`,
     and each epoch's losses average the batch losses seen before each update."""
+    n = len(inputs.queries)
+    if n == 0:
+        raise ValueError("no training examples")
     weights = config.weights
     state = AdagradState.init(params, config.learning_rate, config.epsilon)
     rng = np.random.default_rng(config.seed)
     trace: list[EpochTrace] = []
-    n = len(inputs.queries)
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         sums = np.zeros(2)
@@ -488,7 +490,7 @@ def _fit(
             adagrad_step(params, grads, state)
             sums += (l_rat, l_ret)
             batches += 1
-        mean_rat, mean_ret = sums / max(batches, 1)
+        mean_rat, mean_ret = sums / batches
         joint = weights.rating * mean_rat + weights.retrieval * mean_ret
         trace.append(EpochTrace(epoch, mean_rat, mean_ret, joint))
     return trace
@@ -499,6 +501,8 @@ def train(
 ) -> tuple[ModelParams, list[EpochTrace]]:
     """Every tensor trained from a fresh init seeded with `config.seed`, on
     the joint loss at `config.weights`."""
+    if config.schedule != "joint":
+        raise ValueError(f"train runs the joint schedule, not {config.schedule!r}")
     params = init_params(
         seed=config.seed,
         num_users=space.num_users,
@@ -542,9 +546,12 @@ def two_phase_train(
 ) -> TwoPhaseResult:
     """Rating pretrain (w=1, w'=0), then retrieval finetune (w=0, w'=1) with
     the towers and tables stop-gradiented: only the retrieval head trains in
-    phase 2. `config.weights` is not read.
+    phase 2. `config.weights` is not read; `config.schedule` must be two_phase.
     """
-    params, trace1 = train(inputs, space, replace(config, weights=LossWeights(1.0, 0.0)))
+    if config.schedule != "two_phase":
+        raise ValueError(f"two_phase_train runs the two_phase schedule, not {config.schedule!r}")
+    pretrain = replace(config, schedule="joint", weights=LossWeights(1.0, 0.0))
+    params, trace1 = train(inputs, space, pretrain)
     phase1 = params.clone()
     phase2 = replace(config, weights=LossWeights(0.0, 1.0))
     trace2 = _fit(inputs, phase2, params, _head_step)

@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poirec.checkpoint import (
+    MAGIC,
+    VERSION,
     CheckpointError,
     CorruptFile,
     VersionMismatch,
@@ -76,6 +78,24 @@ def checkpoint_file(tmp_path_factory, corpus_file, config_file):
     return out
 
 
+def _field(text: str) -> bytes:
+    data = text.encode("utf-8")
+    return struct.pack("<I", len(data)) + data
+
+
+def checkpoint_bytes(user_ids, business_ids, tensors) -> bytes:
+    """A checkpoint written field by field from the format's layout: each
+    vocabulary's ids, OOV entry included, and (name, array) tensor pairs."""
+    out = MAGIC + bytes([VERSION]) + _field("")
+    for ids in (user_ids, business_ids):
+        out += struct.pack("<I", len(ids)) + b"".join(_field(i) for i in ids)
+    out += struct.pack("<I", len(tensors))
+    for name, array in tensors:
+        out += _field(name) + struct.pack(f"<{1 + array.ndim}I", array.ndim, *array.shape)
+        out += array.astype("<f4").tobytes()
+    return out
+
+
 class TestCheckpointFormat:
     def make(self, path):
         tensors = {
@@ -136,6 +156,26 @@ class TestCheckpointFormat:
         data[6] = 9  # version byte follows the 6-byte magic
         path.write_bytes(bytes(data))
         with pytest.raises(VersionMismatch):
+            load_checkpoint(path)
+
+    def test_hand_built_bytes_match_the_writer(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, {"t": np.ones((2, 3), np.float32)}, Vocabulary(["u1"]),
+                        Vocabulary(["b1"]), "")
+        assert path.read_bytes() == checkpoint_bytes(
+            ["", "u1"], ["", "b1"], [("t", np.ones((2, 3)))]
+        )
+
+    @pytest.mark.parametrize("user_ids, tensor_names, message", [
+        ([], ["t"], "vocabulary without OOV entry"),
+        (["u0", "u1"], ["t"], "vocabulary index 0 is not the OOV sentinel"),
+        (["", "u1"], ["t", "t"], "duplicate tensor 't'"),
+    ], ids=["no-entries", "entry-0-not-empty", "repeated-tensor"])
+    def test_bad_structure_is_corrupt(self, user_ids, tensor_names, message, tmp_path):
+        path = tmp_path / "c.ckpt"
+        tensors = [(name, np.ones(2)) for name in tensor_names]
+        path.write_bytes(checkpoint_bytes(user_ids, ["", "b1"], tensors))
+        with pytest.raises(CorruptFile, match=message):
             load_checkpoint(path)
 
     def test_rank_above_numpy_limit(self, tmp_path):

@@ -99,6 +99,11 @@ class TestParseRecord:
         corpus = load_corpus([VALID_LINE, line], skip_malformed=True)
         assert (len(corpus), corpus.skipped) == (1, 1)
 
+    def test_fractional_funny_vote_is_out_of_range(self):
+        line = VALID_LINE.replace('"funny":0', '"funny":2.5')
+        with pytest.raises(OutOfRange, match="votes.funny is not an integer: 2.5"):
+            parse_record(line)
+
     def test_integral_float_vote_accepted(self):
         line = VALID_LINE.replace('"useful":1', '"useful":2.0')
         assert parse_record(line).votes == (0, 2, 0)
@@ -341,6 +346,14 @@ class TestLoadCorpus:
         with pytest.raises(MalformedLine, match="line 2"):
             load_corpus(stream)
 
+    def test_blank_lines_are_skipped(self):
+        stream = io.StringIO(VALID_LINE + "\n\n  \t\n" + VALID_LINE + "\n\nnot json\n")
+        with pytest.raises(MalformedLine, match="line 6"):
+            load_corpus(stream)
+        stream.seek(0)
+        corpus = load_corpus(stream, skip_malformed=True)
+        assert (len(corpus), corpus.skipped) == (2, 1)
+
     def test_skip_policy_counts(self):
         stream = io.StringIO(VALID_LINE + "\nnot json\n")
         corpus = load_corpus(stream, skip_malformed=True)
@@ -392,6 +405,12 @@ class TestTemporalSplit:
         split = temporal_split(corpus, 0.5)
         assert split.train == (0, 1)
         assert split.test == (2, 3)
+
+    @pytest.mark.parametrize("ratio", [0.0, 1.0, 1.5])
+    def test_ratio_outside_the_open_unit_interval(self, ratio):
+        corpus = Corpus(tuple(_record(f"u{i}", "b", i) for i in range(4)))
+        with pytest.raises(ValueError, match="ratio must be in"):
+            temporal_split(corpus, ratio)
 
     def test_too_small(self):
         with pytest.raises(EmptyCorpus):

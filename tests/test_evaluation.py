@@ -18,6 +18,7 @@ from poirec.evaluation import (
     MetricsReport,
     confusion_matrix,
     evaluate,
+    mnb_fit,
     mnb_predict,
     mnb_train,
     predict_ratings,
@@ -32,6 +33,7 @@ from poirec.features import (
     FeatureSpace,
     QueryFeatures,
     aggregate_candidates,
+    counts_csr,
     encode_candidate,
     encode_query,
     text_bucket_counts,
@@ -171,6 +173,11 @@ class TestRetrievalRanks:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             retrieval_ranks(np.zeros((1, 2)), [0, 1])
+
+    @pytest.mark.parametrize("true", [3, 4, -1])
+    def test_true_index_outside_the_columns(self, true):
+        with pytest.raises(ValueError, match="true index out of range for 3 candidates"):
+            retrieval_ranks(np.zeros((2, 3)), [0, true])
 
 
 def reviewed_corpus(seed=6):
@@ -485,8 +492,14 @@ class TestMnb:
         assert mnb_predict(model, {0: 3}) == 5
 
     def test_no_documents_raises(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(EmptyInput, match="no training documents"):
             mnb_train([], vocab_size=2)
+
+    @pytest.mark.parametrize("bucket", [2, 5])
+    def test_bucket_outside_the_vocabulary(self, bucket):
+        indptr, buckets, counts = counts_csr([{0: 1}, {bucket: 1}])
+        with pytest.raises(ValueError, match="bucket outside a vocabulary of 2"):
+            mnb_fit([1, 2], indptr, buckets, counts, vocab_size=2)
 
     def test_bad_alpha(self):
         with pytest.raises(ValueError):

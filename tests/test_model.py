@@ -171,6 +171,15 @@ class TestEncoders:
         v = location_encode(CandidateFeatures(1), params)
         assert u.shape == v.shape == (params.k,)
 
+    def test_unknown_task_is_refused(self):
+        params = tiny_params()
+        q, c = QueryFeatures(1), CandidateFeatures(1)
+        for call in (lambda: user_encode(q, params, task="ratings"),
+                     lambda: location_encode(c, params, task="ratings"),
+                     lambda: score(q, c, params, task="ratings")):
+            with pytest.raises(ValueError, match="task must be 'retrieval' or 'rating'"):
+                call()
+
     def test_index_out_of_bounds(self):
         from poirec.model import IndexOutOfBounds
 

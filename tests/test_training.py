@@ -353,7 +353,9 @@ class TestTrainLoop:
         inputs = TrainInputs.from_records(records, space)
         cfg = TrainConfig(batch_size=16, epochs=2, seed=3, embed_dim=4, learning_rate=0.05,
                           schedule="two_phase", softmax_mode=mode)
-        phase1, trace1 = train(inputs, space, replace(cfg, weights=LossWeights(1.0, 0.0)))
+        phase1, trace1 = train(
+            inputs, space, replace(cfg, schedule="joint", weights=LossWeights(1.0, 0.0))
+        )
         want = phase1.clone()
         want_lines = [e.line() for e in trace1] + full_stop_gradient_phase_two(inputs, cfg, want)
 
@@ -383,6 +385,23 @@ class TestTrainLoop:
                 moved.add(name)
         assert moved <= set(RETRIEVAL_HEAD_TENSORS)
         assert moved  # phase 2 did update the retrieval heads
+
+    def test_each_trainer_refuses_the_other_schedule(self):
+        inputs, space = small_inputs()
+        cfg = TrainConfig(batch_size=32, epochs=1, seed=0, embed_dim=4)
+        with pytest.raises(ValueError, match="train runs the joint schedule, not 'two_phase'"):
+            train(inputs, space, replace(cfg, schedule="two_phase"))
+        with pytest.raises(ValueError, match="two_phase_train runs the two_phase schedule"):
+            two_phase_train(inputs, space, cfg)
+
+    @pytest.mark.parametrize("schedule", ["joint", "two_phase"])
+    def test_no_training_examples_raise(self, schedule):
+        _, space = small_inputs()
+        inputs = TrainInputs.from_records([], space)
+        cfg = TrainConfig(batch_size=32, epochs=2, seed=0, embed_dim=4, schedule=schedule)
+        trainer = train if schedule == "joint" else two_phase_train
+        with pytest.raises(ValueError, match="no training examples"):
+            trainer(inputs, space, cfg)
 
     def test_in_batch_mode_runs(self):
         inputs, space = small_inputs()
