@@ -265,9 +265,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     )
     with open(args.report, "w", encoding="utf-8") as f:
         f.write(report.text())
-    print(f"rmse={report.rmse:.6f}")
-    for k in sorted(report.top_k):
-        print(f"top_k.{k}={report.top_k[k]:.6f}")
+    for line in report.lines():
+        if line.startswith(("rmse=", "top_k.")):
+            print(line)
     return 0
 
 

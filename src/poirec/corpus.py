@@ -107,10 +107,10 @@ class TemporalSplit:
 
 @dataclass
 class StarLengthSummary:
-    count: int = 0
-    mean_length: float = 0.0
-    min_length: int = 0
-    max_length: int = 0
+    count: int
+    mean_length: float
+    min_length: int
+    max_length: int
 
 
 @dataclass
@@ -118,8 +118,11 @@ class StatsReport:
     total: int
     num_users: int
     num_businesses: int
-    star_histogram: list[int]  # index 0 -> 1 star, ..., index 4 -> 5 stars
-    lengths_by_star: list[StarLengthSummary]
+    lengths_by_star: list[StarLengthSummary]  # index 0 -> 1 star, ..., index 4 -> 5 stars
+
+    @property
+    def star_histogram(self) -> list[int]:
+        return [s.count for s in self.lengths_by_star]
 
     def lines(self) -> list[str]:
         out = [
@@ -285,23 +288,14 @@ def corpus_stats(corpus: Corpus) -> StatsReport:
     lengths: list[list[int]] = [[] for _ in range(5)]
     for r in corpus.records:
         lengths[r.stars - 1].append(len(r.text))
-    summaries = []
-    for ls in lengths:
-        if ls:
-            summaries.append(
-                StarLengthSummary(
-                    count=len(ls),
-                    mean_length=sum(ls) / len(ls),
-                    min_length=min(ls),
-                    max_length=max(ls),
-                )
-            )
-        else:
-            summaries.append(StarLengthSummary())
     return StatsReport(
         total=len(corpus),
         num_users=corpus.num_users,
         num_businesses=corpus.num_businesses,
-        star_histogram=[s.count for s in summaries],
-        lengths_by_star=summaries,
+        lengths_by_star=[
+            StarLengthSummary(
+                len(ls), sum(ls) / max(len(ls), 1), min(ls, default=0), max(ls, default=0)
+            )
+            for ls in lengths
+        ],
     )

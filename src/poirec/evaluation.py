@@ -158,7 +158,6 @@ class ClassStats:
 class ConfusionMatrix:
     counts: np.ndarray  # [5, 5], true star (row) x predicted star (col)
     per_class: list[ClassStats]
-    micro: ClassStats
     macro: ClassStats
     weighted: ClassStats
 
@@ -169,6 +168,10 @@ class ConfusionMatrix:
     @property
     def accuracy(self) -> float:
         return float(np.trace(self.counts)) / max(self.total, 1)
+
+    @property
+    def micro(self) -> ClassStats:
+        return ClassStats(self.accuracy, self.accuracy, self.accuracy, self.total)
 
     def rows(self) -> list[tuple[str, str, ClassStats]]:
         """(report key, table label, stats) of each star class, then of the
@@ -215,24 +218,19 @@ def confusion_matrix(true_stars: Sequence[int], predicted_stars: Sequence[int]) 
         per_class.append(ClassStats(precision, recall, _f1(precision, recall), int(row)))
 
     total = int(counts.sum())
-    acc = float(np.trace(counts)) / total if total else 0.0
-    micro = ClassStats(acc, acc, acc, total)
     macro = ClassStats(
         float(np.mean([s.precision for s in per_class])),
         float(np.mean([s.recall for s in per_class])),
         float(np.mean([s.f1 for s in per_class])),
         total,
     )
-    if total:
-        weighted = ClassStats(
-            sum(s.precision * s.support for s in per_class) / total,
-            sum(s.recall * s.support for s in per_class) / total,
-            sum(s.f1 * s.support for s in per_class) / total,
-            total,
-        )
-    else:
-        weighted = ClassStats(0.0, 0.0, 0.0, 0)
-    return ConfusionMatrix(counts, per_class, micro, macro, weighted)
+    weighted = ClassStats(
+        sum(s.precision * s.support for s in per_class) / max(total, 1),
+        sum(s.recall * s.support for s in per_class) / max(total, 1),
+        sum(s.f1 * s.support for s in per_class) / max(total, 1),
+        total,
+    )
+    return ConfusionMatrix(counts, per_class, macro, weighted)
 
 
 # ---------------------------------------------------------------------------

@@ -287,18 +287,14 @@ class FeatureSpace:
     user_vocab: Vocabulary
     business_vocab: Vocabulary
     config: FeatureConfig
-    date_min: int = 0
-    date_max: int = 0
+    date_min: int
+    date_max: int
 
     @classmethod
     def build(cls, train_records: list[InteractionRecord], config: FeatureConfig) -> "FeatureSpace":
         user_vocab, business_vocab = build_vocabularies(train_records)
-        if train_records:
-            days = [r.date_days for r in train_records]
-            dmin, dmax = min(days), max(days)
-        else:
-            dmin = dmax = 0
-        return cls(user_vocab, business_vocab, config, dmin, dmax)
+        days = [r.date_days for r in train_records]
+        return cls(user_vocab, business_vocab, config, min(days, default=0), max(days, default=0))
 
     @property
     def num_users(self) -> int:

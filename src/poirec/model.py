@@ -94,20 +94,19 @@ def init_params(
     use_text: bool = FeatureConfig.use_text,
     use_date: bool = FeatureConfig.use_date,
     text_buckets: int = FeatureConfig.text_hash_buckets,
-    dtype=np.float32,
 ) -> ModelParams:
-    """Seeded init: weights/embeddings uniform +-1/sqrt(fan_in), biases zero.
-    An embedding row's fan-in is k, a weight matrix's its input width."""
+    """Seeded float32 init: weights/embeddings uniform +-1/sqrt(fan_in), biases
+    zero. An embedding row's fan-in is k, a weight matrix's its input width."""
     if min(num_users, num_businesses, k) < 1:
         raise ValueError("all dimensions must be positive")
     rng = np.random.default_rng(seed)
     tensors: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(num_users, num_businesses, k, use_text, text_buckets).items():
         if name.endswith(".b"):
-            tensors[name] = np.zeros(shape, dtype=dtype)
+            tensors[name] = np.zeros(shape, dtype=np.float32)
         else:
             bound = 1.0 / np.sqrt(k if name.endswith("_table") else shape[0])
-            tensors[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
+            tensors[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
     return ModelParams(k=k, use_text=use_text, use_date=use_date, tensors=tensors)
 
 
@@ -339,8 +338,9 @@ def score(
     u = user_encode(x, params, task)
     v = location_encode(y, params, task)
     if task == "rating":
-        return float(rating_predict(params, u[None, :], v[None, :])[0])
-    return float(u @ v)
+        rating = rating_predict(params, u[None, :], v[None, :])[0]
+        return float(require_finite(rating, "rating predictions"))
+    return float(require_finite(u @ v, "retrieval scores"))
 
 
 def score_all(
@@ -349,7 +349,8 @@ def score_all(
     params: ModelParams,
 ) -> np.ndarray:
     """Retrieval scores of one query against every candidate."""
-    return candidate_embeddings(params, candidates) @ user_encode(x, params, task="retrieval")
+    scores = candidate_embeddings(params, candidates) @ user_encode(x, params, task="retrieval")
+    return require_finite(scores, "retrieval scores")
 
 
 def candidate_embeddings(

@@ -376,16 +376,13 @@ class AdagradState:
     epsilon: float
 
     @classmethod
-    def init(cls, params: ModelParams, learning_rate: float = TrainConfig.learning_rate,
-             epsilon: float = TrainConfig.epsilon) -> "AdagradState":
+    def init(cls, params: ModelParams, learning_rate: float, epsilon: float) -> "AdagradState":
         """Every accumulator starts at 0.1."""
         acc = {n: np.full_like(t, params.dtype.type(0.1)) for n, t in params.tensors.items()}
         return cls(accumulators=acc, learning_rate=learning_rate, epsilon=epsilon)
 
 
-def adagrad_step(
-    params: ModelParams, grads: dict[str, np.ndarray], state: AdagradState
-) -> tuple[ModelParams, AdagradState]:
+def adagrad_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdagradState) -> None:
     """In-place update of each tensor that `grads` names:
     acc += g^2; p -= lr * g / (sqrt(acc) + eps). Other tensors are untouched."""
     dt = params.dtype
@@ -395,7 +392,6 @@ def adagrad_step(
         acc = state.accumulators[name]
         acc += g * g
         params.tensors[name] -= lr * g / (np.sqrt(acc) + eps)
-    return params, state
 
 
 # ---------------------------------------------------------------------------

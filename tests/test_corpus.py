@@ -14,6 +14,7 @@ from poirec.corpus import (
     Corpus,
     EmptyCorpus,
     InteractionRecord,
+    IoFailure,
     MalformedLine,
     MissingField,
     OutOfRange,
@@ -324,6 +325,14 @@ class TestParseRecordDifferential:
         assert _outcome(parse_record, line) == _outcome(_oracle_parse_record, line)
 
 class TestLoadCorpus:
+    def test_a_read_error_is_io_failure(self):
+        def lines():
+            yield VALID_LINE
+            raise OSError("device gone")
+
+        with pytest.raises(IoFailure, match="device gone"):
+            load_corpus(lines())
+
     def test_empty_stream(self):
         corpus = load_corpus(io.StringIO(""))
         assert len(corpus) == 0

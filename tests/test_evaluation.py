@@ -118,6 +118,10 @@ class TestTopK:
         assert top_k_hits(scores, 0, 1)
         assert not top_k_hits(scores, 1, 1)
 
+    def test_k_zero_raises(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            top_k_accuracy(self.queries, self.true, self.cands, self.params, 0)
+
     def test_k_one_is_argmax(self):
         scores = np.array([0.1, 0.9, 0.3])
         assert top_k_hits(scores, 1, 1)
@@ -144,6 +148,10 @@ def _tied_scores(draw):
 
 
 class TestRetrievalRanks:
+    def test_no_queries_raises(self):
+        with pytest.raises(EmptyInput, match="no queries"):
+            retrieval_ranks(np.zeros((0, 3)), [])
+
     @given(_tied_scores())
     @settings(max_examples=200, deadline=None)
     def test_equals_stable_argsort_oracle(self, case):
@@ -152,7 +160,7 @@ class TestRetrievalRanks:
         queries = [QueryFeatures(0)] * n
         cands = [CandidateFeatures(j) for j in range(m)]
         params = init_params(seed=0, num_users=2, num_businesses=m, k=2,
-                             use_text=False, use_date=False, dtype=np.float64)
+                             use_text=False, use_date=False).astype(np.float64)
         ranks = retrieval_ranks(scores, true)
         want = [_stable_argsort_rank(row, t) for row, t in zip(scores, true)]
         assert ranks.dtype == np.int64
@@ -385,6 +393,12 @@ class TestEvaluateRanksOnce:
 
 
 class TestConfusion:
+    def test_empty_reads_zero(self):
+        cm = confusion_matrix([], [])
+        assert cm.accuracy == 0.0
+        for _, _, s in cm.rows():
+            assert (s.precision, s.recall, s.f1, s.support) == (0.0, 0.0, 0.0, 0)
+
     def test_identity_predictions(self):
         cm = confusion_matrix([1, 2, 3, 4, 5], [1, 2, 3, 4, 5])
         assert cm.accuracy == 1.0

@@ -87,6 +87,10 @@ def _fnv1a_64_reference(data: bytes) -> int:
 
 
 class TestHashToken:
+    def test_one_bucket_raises(self):
+        with pytest.raises(ValueError):
+            hash_token("a", 1)
+
     def test_deterministic(self):
         assert hash_token("great", 4096) == hash_token("great", 4096)
 
@@ -225,6 +229,12 @@ def _scalar_date_rule(date_days, corpus_min, corpus_max):
     month = datetime.date.fromordinal(date_days + datetime.date(1970, 1, 1).toordinal()).month
     angle = 2.0 * math.pi * (month - 1) / 12.0
     return (frac, math.sin(angle), math.cos(angle))
+
+
+class TestFeatureSpace:
+    def test_empty_train_partition_has_date_range_zero(self):
+        space = FeatureSpace.build([], FeatureConfig())
+        assert (space.date_min, space.date_max) == (0, 0)
 
 
 class TestEncoders:

@@ -1,14 +1,20 @@
-"""Every name a poirec module imports is used in that module, and every
+"""Every name a poirec module imports is used in that module, every
 module-level private function or class is referenced there beyond its
-definition."""
+definition, and the package depends on nothing beyond the standard library
+and numpy."""
 
 import ast
 import pathlib
+import re
+import sys
 
 import pytest
 
+import poirec
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "poirec"
 # __init__.py imports only to re-export.
+ALL_MODULES = sorted(SRC.glob("*.py"))
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -54,3 +60,31 @@ def test_guard_sees_a_dead_private_helper():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_private_helper_is_used(path):
     assert unreferenced_private_definitions(path.read_text(encoding="utf-8")) == []
+
+
+def imported_packages(source: str) -> set[str]:
+    """Top-level names of every absolute import."""
+    packages = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            packages |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            packages.add(node.module.split(".")[0])
+    return packages
+
+
+def test_guard_sees_a_third_party_import():
+    source = "import os.path\nfrom numpy import ones\nfrom . import model\nimport scipy.sparse\n"
+    assert imported_packages(source) == {"os", "numpy", "scipy"}
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_only_numpy_beyond_the_standard_library(path):
+    allowed = sys.stdlib_module_names | {"numpy", "poirec"}
+    assert imported_packages(path.read_text(encoding="utf-8")) - allowed == set()
+
+
+def test_version_matches_pyproject():
+    pyproject = (SRC.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    project = pyproject.split("[project]", 1)[1]
+    assert re.search(r'^version = "([^"]*)"$', project, re.M).group(1) == poirec.__version__

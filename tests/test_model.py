@@ -39,6 +39,10 @@ def tiny_params(seed=0, k=4, users=6, businesses=5, buckets=16, **kw):
 
 
 class TestInitParams:
+    def test_a_zero_dimension_raises(self):
+        with pytest.raises(ValueError, match="all dimensions must be positive"):
+            init_params(seed=0, num_users=0, num_businesses=2, k=2)
+
     def test_seed_determinism(self):
         a = tiny_params(seed=42)
         b = tiny_params(seed=42)
@@ -255,6 +259,17 @@ class TestScore:
         assert np.isfinite(score(q, c, params, task="rating"))
         assert np.isfinite(score(q, c, params, task="retrieval"))
 
+    def test_a_nan_business_row_raises(self):
+        params = tiny_params(seed=14)
+        params.tensors["business_table"][2, 0] = np.nan
+        q, c = QueryFeatures(1), CandidateFeatures(2)
+        with pytest.raises(FloatingPointError, match="non-finite retrieval scores"):
+            score_all(q, [CandidateFeatures(1), c], params)
+        with pytest.raises(FloatingPointError, match="non-finite retrieval scores"):
+            score(q, c, params)
+        with pytest.raises(FloatingPointError, match="non-finite rating predictions"):
+            score(q, c, params, task="rating")
+
 
 class TestPoolingOperator:
     """Text pooling is P @ text_table and its gradient P^T @ d, with P the
@@ -270,7 +285,7 @@ class TestPoolingOperator:
     ]
 
     def test_matches_per_row_loops_in_float64(self):
-        params = tiny_params(seed=11, dtype=np.float64)
+        params = tiny_params(seed=11).astype(np.float64)
         table = params.tensors["text_table"]
         block = CandidateBlock.from_features(self.FEATURES)
         d = np.random.default_rng(0).normal(size=(len(block), params.k))
@@ -312,7 +327,7 @@ class TestTowerBackward:
     ], ids=["user-text-model", "user", "business-text", "business-text-off",
             "business-textless-block"])
     def test_matches_central_differences(self, tower, use_text, features):
-        params = tiny_params(seed=9, use_text=use_text, dtype=np.float64)
+        params = tiny_params(seed=9, use_text=use_text).astype(np.float64)
         if tower == "user":
             block, forward = QueryBlock.from_features(features), forward_users
         else:

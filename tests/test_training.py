@@ -156,6 +156,10 @@ class TestLosses:
         with pytest.raises(ValueError):
             Batch(**parts)
 
+    def test_empty_batch_raises(self):
+        with pytest.raises(ValueError, match="batch must be non-empty"):
+            Batch([], [], [], [], [])
+
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             LossWeights(-0.1, 0.5)
@@ -188,6 +192,11 @@ class TestGradients:
         assert err > 1e-2
         assert worst == "rating_head.w"
 
+    def test_no_kink_free_seed_raises(self, monkeypatch):
+        monkeypatch.setattr(training, "_kink_margin", lambda params, batch: 0.0)
+        with pytest.raises(RuntimeError, match="no kink-free seed found"):
+            reference_gradcheck(seed=0)
+
     def test_zero_retrieval_weight_kills_retrieval_heads(self):
         """With w'=0 the retrieval branch is skipped: its heads get exact
         zero gradients, with no epsilon-size residue."""
@@ -213,7 +222,7 @@ class TestGradients:
 class TestAdagrad:
     def test_single_step_arithmetic(self):
         """p=1, g=3, acc0=0.1, lr=0.5: acc -> 9.1, p -> 1 - 1.5/(sqrt(9.1)+eps)."""
-        params = init_params(seed=0, num_users=2, num_businesses=2, k=2, dtype=np.float64)
+        params = init_params(seed=0, num_users=2, num_businesses=2, k=2).astype(np.float64)
         params.tensors = {"user_table": np.array([[1.0]])}
         grads = {"user_table": np.array([[3.0]])}
         state = AdagradState.init(params, learning_rate=0.5, epsilon=1e-7)
@@ -224,7 +233,7 @@ class TestAdagrad:
 
     def test_five_step_scalar_reference(self):
         """Drive one scalar through five updates against a hand loop."""
-        params = init_params(seed=0, num_users=2, num_businesses=2, k=2, dtype=np.float64)
+        params = init_params(seed=0, num_users=2, num_businesses=2, k=2).astype(np.float64)
         params.tensors = {"user_table": np.array([2.0])}
         state = AdagradState.init(params, learning_rate=0.1, epsilon=1e-7)
         gs = [0.5, -1.0, 2.0, 0.0, -0.25]
@@ -239,7 +248,7 @@ class TestAdagrad:
     def test_zero_gradient_is_noop(self):
         params = init_params(seed=3, num_users=2, num_businesses=2, k=2)
         before = {n: t.copy() for n, t in params.tensors.items()}
-        state = AdagradState.init(params)
+        state = AdagradState.init(params, TrainConfig.learning_rate, TrainConfig.epsilon)
         adagrad_step(params, {n: np.zeros_like(t) for n, t in params.tensors.items()}, state)
         for name in before:
             assert np.array_equal(params.tensors[name], before[name])
@@ -247,7 +256,7 @@ class TestAdagrad:
     def test_partial_grads_touch_only_the_named_tensors(self):
         """A tensor missing from `grads`, and its accumulator, stay bit-unchanged."""
         params = init_params(seed=3, num_users=3, num_businesses=3, k=2)
-        state = AdagradState.init(params, learning_rate=0.5)
+        state = AdagradState.init(params, learning_rate=0.5, epsilon=1e-7)
         before = {n: (t.tobytes(), state.accumulators[n].tobytes())
                   for n, t in params.tensors.items()}
         adagrad_step(params, {"rating_head.w": np.ones_like(params.tensors["rating_head.w"])},
@@ -258,9 +267,9 @@ class TestAdagrad:
             assert unchanged == ((False, False) if name == "rating_head.w" else (True, True))
 
     def test_step_size_shrinks_under_repeated_gradients(self):
-        params = init_params(seed=0, num_users=2, num_businesses=2, k=2, dtype=np.float64)
+        params = init_params(seed=0, num_users=2, num_businesses=2, k=2).astype(np.float64)
         params.tensors = {"user_table": np.array([0.0])}
-        state = AdagradState.init(params, learning_rate=1.0)
+        state = AdagradState.init(params, learning_rate=1.0, epsilon=1e-7)
         deltas = []
         prev = 0.0
         for _ in range(4):
@@ -519,8 +528,8 @@ class TestCompiledInputs:
             built = Batch.in_batch(queries, cands, labels)
 
         params = init_params(seed=5, num_users=space.num_users,
-                             num_businesses=space.num_businesses, k=4, text_buckets=64,
-                             dtype=np.float64)
+                             num_businesses=space.num_businesses, k=4,
+                             text_buckets=64).astype(np.float64)
         weights = LossWeights(0.5, 0.5)
         got = loss_and_gradients(compiled, params, weights)
         want = loss_and_gradients(built, params, weights)
