@@ -9,6 +9,7 @@ external config.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -296,7 +297,11 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: `parse_args` gives
+    each call a fresh namespace and copies list defaults, so calls share no
+    state through it."""
     parser = argparse.ArgumentParser(
         prog="poirec",
         description="Two-tower multi-task point-of-interest recommender.",

@@ -62,7 +62,7 @@ class ModelParams:
         return self.tensors["user_table"].dtype
 
     def zeros_like_tensors(self) -> dict[str, np.ndarray]:
-        return {n: np.zeros_like(t) for n, t in self.tensors.items()}
+        return {n: np.zeros(t.shape, dtype=t.dtype) for n, t in self.tensors.items()}
 
 
 def param_shapes(
@@ -213,6 +213,16 @@ class CandidateBlock:
         return pool
 
 
+def _add_rows(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """table[rows[i]] += values[i] for each i in turn, bit for bit as a 2-D
+    np.add.at does: one 1-D scatter over the flat elements gives each
+    element its addends in the same order, at about a third of the cost.
+    `table` is C-contiguous (`zeros_like_tensors`), so reshape(-1) is a view."""
+    k = table.shape[1]
+    flat = (rows[:, None] * k + np.arange(k)).reshape(-1)
+    np.add.at(table.reshape(-1), flat, values.reshape(-1))
+
+
 @dataclass
 class TowerCache:
     """One tower's forward intermediates, and its input layout for the
@@ -239,7 +249,7 @@ class TowerCache:
         grads[f"{prefix}.0.b"] += d_h1.sum(axis=0)
         d_x = d_h1 @ t[f"{prefix}.0.w"].T
         k = params.k
-        np.add.at(grads[f"{self.side}_table"], self.rows, d_x[:, :k])
+        _add_rows(grads[f"{self.side}_table"], self.rows, d_x[:, :k])
         if self.pool is not None:
             grads["text_table"] += self.pool.T @ d_x[:, k:]
 

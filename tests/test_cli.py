@@ -28,6 +28,7 @@ from poirec.cli import (
     _k_list,
     _load_model,
     _parse_bool,
+    build_parser,
     config_echo,
     main,
     parse_config_text,
@@ -537,6 +538,31 @@ class TestTrain:
                    "--out", str(tmp_path / "m.ckpt")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestParserBuiltOnce:
+    def test_calls_share_no_state(self, checkpoint_file, corpus_file, tmp_path, capsys):
+        """The one parser serves every call: each call's `--k` list is its
+        own, after a longer list and before one."""
+        assert build_parser() is build_parser()
+        for ks in (["1", "3"], ["5"], ["2", "4", "1"]):
+            argv = ["evaluate", "--checkpoint", str(checkpoint_file), "--corpus",
+                    str(corpus_file), "--report", str(tmp_path / "r.txt")]
+            assert main(argv + [a for k in ks for a in ("--k", k)]) == 0
+            out = capsys.readouterr().out
+            assert [line.split("=")[0] for line in out.splitlines()
+                    if line.startswith("top_k.")] == [f"top_k.{k}" for k in sorted(ks)]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["evaluate", "--help"]])
+    def test_help_does_not_change(self, argv, capsys):
+        """Help from the kept parser, twice, reads as from a fresh one."""
+        helps = []
+        for parse in (build_parser.__wrapped__().parse_args, main, main):
+            with pytest.raises(SystemExit) as exit_:
+                parse(argv)
+            assert exit_.value.code == 0
+            helps.append(capsys.readouterr().out)
+        assert "usage: poirec" in helps[0] and helps[1] == helps[0] and helps[2] == helps[0]
 
 
 class TestEvaluate:

@@ -17,6 +17,7 @@ from poirec.features import (
 )
 from poirec.model import (
     DATE_DIM,
+    _add_rows,
     CandidateBlock,
     ModelParams,
     QueryBlock,
@@ -441,3 +442,28 @@ class TestQueryBlockFromRecords:
         assert got.date.tobytes() == want.date.tobytes()
         assert len(set(map(tuple, got.date[:12, 1:].tolist()))) == 12  # one angle per month
         assert got.date[:, 0].min() == 0.0 and got.date[:, 0].max() == 1.0  # clamped
+
+
+class TestAddRows:
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        table_rows=st.integers(1, 6),
+        k=st.integers(1, 5),
+        rows=st.lists(st.integers(0, 5), max_size=80),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_2d_scatter(self, dtype, table_rows, k, rows, seed):
+        """The flat 1-D scatter gives the bytes of a 2-D np.add.at, whose
+        addends reach each row in index order, also when rows repeat many
+        times and the values span magnitudes where that order shows."""
+        rng = np.random.default_rng(seed)
+        rows = np.array([r % table_rows for r in rows], dtype=np.int64)
+        scale = 10.0 ** rng.integers(-4, 5, size=(len(rows), 2 * k))
+        values = (rng.normal(size=(len(rows), 2 * k)) * scale).astype(dtype)[:, :k]
+        start = rng.normal(size=(table_rows, k)).astype(dtype)
+        want = start.copy()
+        np.add.at(want, rows, values)
+        got = start.copy()
+        _add_rows(got, rows, values)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poirec import features, training
 from poirec.features import (
@@ -17,7 +19,7 @@ from poirec.features import (
     encode_candidate,
     encode_query,
 )
-from poirec.model import CandidateBlock, TowerCache, init_params
+from poirec.model import CandidateBlock, ModelParams, TowerCache, init_params
 from poirec.training import (
     RETRIEVAL_HEAD_TENSORS,
     AdagradState,
@@ -39,6 +41,7 @@ from poirec.training import (
     train,
     two_phase_train,
     _build_tiny_setup,
+    _head_step,
     _iter_batches,
 )
 from _synth import latent_factor_corpus
@@ -279,6 +282,67 @@ class TestAdagrad:
         assert all(a > b for a, b in zip(deltas, deltas[1:]))
 
 
+def row_sparse_case(dtype, table_rows, listed, zero_listed, seed):
+    """Params, gradients, Adagrad state and sorted listed rows for one step:
+    an id table whose rows outside `listed` have zero gradient, as do the
+    listed rows in `zero_listed`, some parameters exactly -0.0 and 0.0,
+    accumulators grown past their 0.1 start, and a dense tensor beside it."""
+    rng = np.random.default_rng(seed)
+    table = rng.normal(size=(table_rows, 3))
+    table[rng.random(table.shape) < 0.1] = -0.0
+    table[rng.random(table.shape) < 0.1] = 0.0
+    params = ModelParams(k=3, use_text=False, use_date=False, tensors={
+        "user_table": table.astype(dtype), "rating_head.w": rng.normal(size=(3, 1)).astype(dtype)})
+    state = AdagradState.init(params, learning_rate=0.3, epsilon=1e-7)
+    for acc in state.accumulators.values():
+        acc += rng.exponential(size=acc.shape).astype(dtype)
+    grads = {n: (rng.normal(size=t.shape) * 10.0 ** rng.integers(-3, 3, size=t.shape)).astype(dtype)
+             for n, t in params.tensors.items()}
+    rows = np.array(sorted(r for r in listed if r < table_rows), dtype=np.int64)
+    moved = np.zeros(table_rows, dtype=bool)
+    moved[rows] = True
+    moved[[r for r in zero_listed if r < table_rows]] = False
+    grads["user_table"][~moved] = 0.0
+    return params, grads, state, rows
+
+
+_ROW_SPARSE = dict(
+    dtype=st.sampled_from([np.float32, np.float64]),
+    table_rows=st.integers(1, 12),
+    listed=st.sets(st.integers(0, 11)),
+    zero_listed=st.sets(st.integers(0, 11)),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestRowSparseAdagrad:
+    @given(**_ROW_SPARSE)
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_dense_step(self, dtype, table_rows, listed, zero_listed, seed):
+        """Updating only the listed rows gives the dense step's parameter and
+        accumulator bytes when every row left out has a zero gradient."""
+        want, want_grads, want_state, _ = row_sparse_case(dtype, table_rows, listed,
+                                                          zero_listed, seed)
+        params, grads, state, rows = row_sparse_case(dtype, table_rows, listed, zero_listed, seed)
+        adagrad_step(want, want_grads, want_state)
+        adagrad_step(params, grads, state, rows={"user_table": rows})
+        for name, t in want.tensors.items():
+            for got, expected in ((params.tensors[name], t),
+                                  (state.accumulators[name], want_state.accumulators[name])):
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+
+    @given(**_ROW_SPARSE)
+    @settings(max_examples=100, deadline=None)
+    def test_a_listed_row_with_zero_gradient_stays(self, dtype, table_rows, listed, zero_listed,
+                                                    seed):
+        params, grads, state, rows = row_sparse_case(dtype, table_rows, listed, zero_listed, seed)
+        still = [r for r in rows.tolist() if r in zero_listed]
+        before = params.tensors["user_table"][still], state.accumulators["user_table"][still]
+        adagrad_step(params, grads, state, rows={"user_table": rows})
+        assert params.tensors["user_table"][still].tobytes() == before[0].tobytes()
+        assert state.accumulators["user_table"][still].tobytes() == before[1].tobytes()
+
+
 def small_inputs(seed=0, n=120):
     corpus = latent_factor_corpus(n_users=20, n_businesses=12, n_events=n, seed=seed)
     split = temporal_split(corpus, 0.9)
@@ -304,11 +368,11 @@ def texted_records(use_text=True):
     return records, space
 
 
-def full_stop_gradient_phase_two(inputs, config, params):
-    """Phase 2 the long way, trained in place on `params`: the joint step at
-    weights (0, 1), every gradient but the retrieval head's zeroed, and
-    Adagrad over every tensor. Returns the epoch lines."""
-    weights = LossWeights(0.0, 1.0)
+def dense_adagrad_fit(inputs, config, params, step):
+    """The training loop the long way, trained in place on `params`: each
+    batch's `step` at `config.weights`, then Adagrad over every row of every
+    tensor it returns. Returns the epoch lines."""
+    weights = config.weights
     state = AdagradState.init(params, config.learning_rate, config.epsilon)
     rng = np.random.default_rng(config.seed)
     lines = []
@@ -316,16 +380,35 @@ def full_stop_gradient_phase_two(inputs, config, params):
         order = rng.permutation(len(inputs.queries))
         sums, batches = np.zeros(2), 0
         for batch in _iter_batches(inputs, order, config):
-            l_rat, l_ret, grads = loss_and_gradients(batch, params, weights)
-            for name, g in grads.items():
-                if name not in RETRIEVAL_HEAD_TENSORS:
-                    g[...] = 0.0
+            l_rat, l_ret, grads = step(batch, params, weights)
             adagrad_step(params, grads, state)
             sums += (l_rat, l_ret)
             batches += 1
         rat, ret = sums / batches
-        lines.append(EpochTrace(epoch, rat, ret, 0.0 * rat + 1.0 * ret).line())
+        lines.append(EpochTrace(epoch, rat, ret, weights.rating * rat + weights.retrieval * ret).line())
     return lines
+
+
+def full_stop_gradient_phase_two(inputs, config, params):
+    """Phase 2 the long way, trained in place on `params`: the joint step at
+    weights (0, 1), every gradient but the retrieval head's zeroed, and
+    Adagrad over every tensor. Returns the epoch lines."""
+    def step(batch, params, weights):
+        l_rat, l_ret, grads = loss_and_gradients(batch, params, weights)
+        for name, g in grads.items():
+            if name not in RETRIEVAL_HEAD_TENSORS:
+                g[...] = 0.0
+        return l_rat, l_ret, grads
+
+    return dense_adagrad_fit(inputs, replace(config, weights=LossWeights(0.0, 1.0)), params, step)
+
+
+def fresh_params(space, config):
+    """The initial parameters `train` draws for `config`."""
+    return init_params(seed=config.seed, num_users=space.num_users,
+                       num_businesses=space.num_businesses, k=config.embed_dim,
+                       use_text=space.config.use_text, use_date=space.config.use_date,
+                       text_buckets=space.config.text_hash_buckets)
 
 
 class TestTrainLoop:
@@ -383,6 +466,45 @@ class TestTrainLoop:
                    for n in RETRIEVAL_HEAD_TENSORS)
         phase1_batches = cfg.epochs * math.ceil(len(records) / cfg.batch_size)
         assert calls == {"loss_and_gradients": phase1_batches, "backward": 2 * phase1_batches}
+
+    @pytest.mark.parametrize("use_text", [True, False], ids=["text", "ids"])
+    @pytest.mark.parametrize("schedule", ["joint", "two_phase"])
+    @pytest.mark.parametrize("mode", ["in_batch", "full_corpus"])
+    def test_row_sparse_tables_equal_dense_adagrad(self, mode, schedule, use_text, monkeypatch):
+        """`train` and `two_phase_train` give the tensor bytes and epoch lines
+        of the same loop with Adagrad over every row. Batches of 3 read a few
+        of the 21 users and 13 businesses, so the id tables take the
+        row-sparse update, except the business table under the joint
+        full-corpus softmax, which reads every business (the rating-only
+        phase 1 reads only the pair businesses)."""
+        records, space = texted_records(use_text)
+        inputs = TrainInputs.from_records(records, space)
+        cfg = TrainConfig(batch_size=3, epochs=2, seed=5, embed_dim=4, learning_rate=0.1,
+                          schedule=schedule, softmax_mode=mode)
+        sparse = set()
+        real = training.adagrad_step
+        monkeypatch.setattr(training, "adagrad_step", lambda p, g, s, rows=None:
+                            sparse.update(rows or ()) or real(p, g, s, rows))
+        if schedule == "joint":
+            got, trace = train(inputs, space, cfg)
+            want = fresh_params(space, cfg)
+            want_lines = dense_adagrad_fit(inputs, cfg, want, loss_and_gradients)
+        else:
+            result = two_phase_train(inputs, space, cfg)
+            got, trace = result.params, result.trace
+            phase1 = replace(cfg, schedule="joint", weights=LossWeights(1.0, 0.0))
+            want = fresh_params(space, phase1)
+            want_lines = dense_adagrad_fit(inputs, phase1, want, loss_and_gradients)
+            want_lines += dense_adagrad_fit(inputs, replace(cfg, weights=LossWeights(0.0, 1.0)),
+                                            want, _head_step)
+
+        every_business = mode == "full_corpus" and schedule == "joint"
+        assert sparse == ({"user_table"} if every_business else {"user_table", "business_table"})
+        assert [e.line() for e in trace] == want_lines
+        assert got.tensors.keys() == want.tensors.keys()
+        for name, t in want.tensors.items():
+            assert got.tensors[name].dtype == t.dtype
+            assert got.tensors[name].tobytes() == t.tobytes(), name
 
     def test_two_phase_freezes_everything_but_retrieval_heads(self):
         inputs, space = small_inputs()
