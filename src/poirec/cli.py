@@ -354,6 +354,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ckpt.CheckpointError,
         evaluation.EmptyInput,
         FloatingPointError,
+        MemoryError,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -268,9 +268,12 @@ def mnb_fit(
     n_classes = len(classes)
     doc_counts = np.bincount(doc_class, minlength=n_classes).astype(np.float64)
     entry_class = np.repeat(doc_class, np.diff(indptr))
-    token_counts = np.bincount(
-        entry_class * vocab_size + buckets, weights=counts, minlength=n_classes * vocab_size
-    ).reshape(n_classes, vocab_size)
+    try:
+        token_counts = np.bincount(
+            entry_class * vocab_size + buckets, weights=counts, minlength=n_classes * vocab_size
+        ).reshape(n_classes, vocab_size)
+    except (ValueError, OverflowError) as exc:  # numpy refuses a size it cannot index
+        raise MemoryError(f"cannot allocate {n_classes} x {vocab_size} counts: {exc}") from None
     log_prior = np.log(doc_counts / doc_counts.sum())
     totals = token_counts.sum(axis=1, keepdims=True)
     log_likelihood = np.log((token_counts + alpha) / (totals + alpha * vocab_size))

@@ -102,11 +102,14 @@ def init_params(
     rng = np.random.default_rng(seed)
     tensors: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(num_users, num_businesses, k, use_text, text_buckets).items():
-        if name.endswith(".b"):
-            tensors[name] = np.zeros(shape, dtype=np.float32)
-        else:
-            bound = 1.0 / np.sqrt(k if name.endswith("_table") else shape[0])
-            tensors[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+        try:
+            if name.endswith(".b"):
+                tensors[name] = np.zeros(shape, dtype=np.float32)
+            else:
+                bound = 1.0 / np.sqrt(k if name.endswith("_table") else shape[0])
+                tensors[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+        except ValueError as exc:  # numpy refuses a size it cannot index
+            raise MemoryError(f"cannot allocate tensor {name} of shape {shape}: {exc}") from None
     return ModelParams(k=k, use_text=use_text, use_date=use_date, tensors=tensors)
 
 

@@ -412,26 +412,17 @@ def adagrad_step(
             p[r] -= lr * g / (np.sqrt(a) + eps)
 
 
-def _read_rows(batch: Batch, weights: LossWeights, params: ModelParams) -> dict[str, np.ndarray]:
-    """The sorted rows of `user_table` and `business_table` that the loss at
-    `weights` reads from `batch`, which are the only rows it gives a
-    gradient. A table is left out, to the dense update, when they are a
-    quarter of it or more: per row, the row-sparse update costs about three
-    times the dense one, plus a fixed cost."""
-    businesses = []
-    if weights.rating != 0.0:
-        businesses.append(batch.pair_block.business_idx)
-    if weights.retrieval != 0.0:
-        businesses.append(batch.softmax_block.business_idx)
+def _held_rows(batch: Batch, params: ModelParams) -> dict[str, np.ndarray]:
+    """The sorted rows of `user_table` and `business_table` that `batch`
+    holds: its query users and its softmax-set businesses, a set that holds
+    each pair business at its true index. No loss over the batch gives a
+    gradient to any other row."""
     rows = {}
-    for name, indices in (("user_table", [batch.query_block.user_idx]),
-                          ("business_table", businesses)):
-        read = np.zeros(len(params.tensors[name]), dtype=bool)
-        for idx in indices:
-            read[idx] = True
-        r = np.flatnonzero(read)
-        if 4 * r.size < read.size:
-            rows[name] = r
+    for name, idx in (("user_table", batch.query_block.user_idx),
+                      ("business_table", batch.softmax_block.business_idx)):
+        held = np.zeros(len(params.tensors[name]), dtype=bool)
+        held[idx] = True
+        rows[name] = np.flatnonzero(held)
     return rows
 
 
@@ -524,7 +515,7 @@ def _fit(
             l_rat, l_ret, grads = step(batch, params, weights)
             joint = weights.rating * l_rat + weights.retrieval * l_ret
             require_finite(joint, f"loss at epoch {epoch}")
-            adagrad_step(params, grads, state, _read_rows(batch, weights, params))
+            adagrad_step(params, grads, state, _held_rows(batch, params))
             sums += (l_rat, l_ret)
             batches += 1
         mean_rat, mean_ret = sums / batches

@@ -463,6 +463,21 @@ class TestConfigValidation:
         assert "empty train partition" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("size", [10**18, 10**15], ids=["too-big-to-index", "no-such-memory"])
+    @pytest.mark.parametrize("key", ["embed_dim", "text_hash_buckets"])
+    def test_unallocatable_size_is_a_clean_error(self, key, size, corpus_file, tmp_path, capsys):
+        """numpy refuses 10**18 as a size it cannot index and 10**15 as
+        memory no host has, before touching a page; both are `error:`."""
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(f"epochs = 1\n{key} = {size}\n")
+        out = tmp_path / "m.ckpt"
+        rc = main(["train", "--corpus", str(corpus_file), "--config", str(cfg),
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "allocate" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_k_list_parses(self):
         cfg = parse_config_text("eval_ks = 10, 50,,100\n")
         assert cfg["eval_ks"] == (10, 50, 100)
@@ -640,6 +655,21 @@ class TestEvaluate:
         assert main(["evaluate", "--checkpoint", str(ckpt), "--corpus", str(corpus),
                      "--report", str(report), "--mnb"]) == 0
         assert "confusion.micro.support=4" in report.read_text()
+
+    @pytest.mark.parametrize("size", [10**18, 10**15], ids=["too-big-to-index", "no-such-memory"])
+    def test_unallocatable_mnb_buckets_is_a_clean_error(self, size, corpus_file, tmp_path,
+                                                         capsys):
+        config = tmp_path / "train.cfg"
+        config.write_text(f"embed_dim = 4\nepochs = 1\nmnb_buckets = {size}\n")
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["train", "--corpus", str(corpus_file), "--config", str(config),
+                     "--out", str(ckpt)]) == 0
+        capsys.readouterr()
+        rc = main(["evaluate", "--checkpoint", str(ckpt), "--corpus", str(corpus_file),
+                   "--report", str(tmp_path / "r.txt"), "--mnb"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "allocate" in err and "Traceback" not in err
 
     def test_corrupt_checkpoint_fails_cleanly(self, checkpoint_file, corpus_file,
                                               tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Losses, manual gradients, Adagrad, and the training loops."""
 
+import functools
 import math
 from collections import Counter
 from dataclasses import replace
@@ -42,6 +43,7 @@ from poirec.training import (
     two_phase_train,
     _build_tiny_setup,
     _head_step,
+    _held_rows,
     _iter_batches,
 )
 from _synth import latent_factor_corpus
@@ -411,6 +413,34 @@ def fresh_params(space, config):
                        text_buckets=space.config.text_hash_buckets)
 
 
+@functools.cache
+def texted_inputs(use_text):
+    records, space = texted_records(use_text)
+    return TrainInputs.from_records(records, space), space
+
+
+class TestHeldRows:
+    @given(use_text=st.booleans(), mode=st.sampled_from(["in_batch", "full_corpus"]),
+           weights=st.sampled_from([(1.0, 0.0), (0.0, 1.0), (0.5, 0.5)]),
+           picks=st.lists(st.integers(0, 107), min_size=1, max_size=8, unique=True),  # 108 reviews
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_every_row_with_a_gradient_is_held(self, use_text, mode, weights, picks, seed):
+        """A small batch built as training builds it gives a nonzero
+        gradient entry to no id-table row outside its held rows."""
+        inputs, space = texted_inputs(use_text)
+        idx = np.array(picks)
+        args = (inputs.queries.take(idx), [inputs.candidates[i] for i in idx], inputs.labels[idx])
+        batch = (Batch.in_batch(*args) if mode == "in_batch"
+                 else Batch.full_corpus(*args, inputs.corpus_block))
+        params = fresh_params(space, TrainConfig(seed=seed, embed_dim=4))
+        grads = gradients(batch, params, LossWeights(*weights))
+        held = _held_rows(batch, params)
+        for name in ("user_table", "business_table"):
+            touched = np.flatnonzero(np.any(grads[name] != 0.0, axis=1))
+            assert np.isin(touched, held[name]).all(), name
+
+
 class TestTrainLoop:
     def test_determinism_bit_identical(self):
         inputs, space = small_inputs()
@@ -472,19 +502,18 @@ class TestTrainLoop:
     @pytest.mark.parametrize("mode", ["in_batch", "full_corpus"])
     def test_row_sparse_tables_equal_dense_adagrad(self, mode, schedule, use_text, monkeypatch):
         """`train` and `two_phase_train` give the tensor bytes and epoch lines
-        of the same loop with Adagrad over every row. Batches of 3 read a few
-        of the 21 users and 13 businesses, so the id tables take the
-        row-sparse update, except the business table under the joint
-        full-corpus softmax, which reads every business (the rating-only
-        phase 1 reads only the pair businesses)."""
+        of the same loop with Adagrad over every row, and every step passes
+        both id tables' held rows: batches of 3 hold a few of the 21 users,
+        and a few of the 13 businesses in in-batch mode, every one of them
+        under the full-corpus softmax."""
         records, space = texted_records(use_text)
         inputs = TrainInputs.from_records(records, space)
         cfg = TrainConfig(batch_size=3, epochs=2, seed=5, embed_dim=4, learning_rate=0.1,
                           schedule=schedule, softmax_mode=mode)
-        sparse = set()
+        tables_per_step = []
         real = training.adagrad_step
         monkeypatch.setattr(training, "adagrad_step", lambda p, g, s, rows=None:
-                            sparse.update(rows or ()) or real(p, g, s, rows))
+                            tables_per_step.append(set(rows or ())) or real(p, g, s, rows))
         if schedule == "joint":
             got, trace = train(inputs, space, cfg)
             want = fresh_params(space, cfg)
@@ -498,8 +527,8 @@ class TestTrainLoop:
             want_lines += dense_adagrad_fit(inputs, replace(cfg, weights=LossWeights(0.0, 1.0)),
                                             want, _head_step)
 
-        every_business = mode == "full_corpus" and schedule == "joint"
-        assert sparse == ({"user_table"} if every_business else {"user_table", "business_table"})
+        assert tables_per_step
+        assert all(step == {"user_table", "business_table"} for step in tables_per_step)
         assert [e.line() for e in trace] == want_lines
         assert got.tensors.keys() == want.tensors.keys()
         for name, t in want.tensors.items():
