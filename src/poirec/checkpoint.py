@@ -142,10 +142,9 @@ def load_checkpoint(
 ) -> tuple[dict[str, np.ndarray], Vocabulary, Vocabulary, str]:
     with open(path, "rb") as f:
         r = _Reader(f.read())
-    magic = r.data[: len(MAGIC)]
+    magic = r.take(len(MAGIC), "magic")
     if magic != MAGIC:
         raise CorruptFile(f"bad magic: {magic!r}")
-    r.pos = len(MAGIC)
     version = r.take(1, "version")[0]
     if version != VERSION:
         raise VersionMismatch(f"format version {version}, expected {VERSION}")

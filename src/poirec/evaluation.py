@@ -6,13 +6,15 @@ recommend`: `retrieval_scores` takes user-tower outputs and the [V, k]
 candidate embeddings `train` stores, checks every score finite and cuts
 the OOV column, index 0, which is not a business. `retrieval_ranks`
 counts the candidates ranked above each true one, ties to the lower
-index, the order `recommend` lists; every K reads those ranks. A test
-review of a business unseen in training (a cold-start target) is a miss
-at every K. `evaluate` runs the user tower once, for RMSE and ranks, and
-tokenizes each test review once, when text features or the baseline need
-it; the baseline fits on the train reviews with `np.bincount` over all
-`mnb_buckets` buckets. `mnb_train` and `mnb_predict`, which take bucket ->
-count dicts, are thin adapters over `mnb_fit` and `mnb_classify`.
+index, the order `recommend` lists; every K reads those ranks.
+`evaluate` ranks every test query, then makes each review of a business
+unseen in training (a cold-start target) a miss at every K. Both RMSE
+and ranks read one lookup of each test business and one user-tower pass,
+and `evaluate` tokenizes each test review once, when text features or
+the baseline need it; the baseline fits on the train reviews with
+`np.bincount` over all `mnb_buckets` buckets. `mnb_train` and
+`mnb_predict`, which take bucket -> count dicts, are thin adapters over
+`mnb_fit` and `mnb_classify`.
 """
 
 from __future__ import annotations
@@ -76,8 +78,8 @@ class EvalConfig:
             raise ValueError(f"mnb_buckets must be at least 2: {self.mnb_buckets}")
 
 
-def rmse(pairs: Sequence[tuple[float, float]]) -> float:
-    """Root mean squared error over (predicted, actual) pairs."""
+def rmse(pairs: np.ndarray) -> float:
+    """Root mean squared error over the (predicted, actual) rows of `pairs` [n, 2]."""
     if len(pairs) == 0:
         raise EmptyInput("rmse needs at least one pair")
     arr = np.asarray(pairs, dtype=np.float64)
@@ -364,22 +366,19 @@ class MetricsReport:
         return body + "\n"
 
 
-def _rating_pairs(
+def _rating_predictions(
     params: ModelParams,
     users: np.ndarray,
-    records: Sequence[InteractionRecord],
+    business_idx: Sequence[int],
     space: FeatureSpace,
     text: Optional[TextCSR],
-) -> list[tuple[float, float]]:
-    """(predicted, actual) rating pairs of `records` from their user-tower
-    outputs `users` and `text`, their `encode_texts`, read only when text
-    features are on."""
-    business_idx = [space.business_vocab.lookup(r.business_id) for r in records]
+) -> np.ndarray:
+    """Predicted ratings from user-tower outputs `users`, business indices
+    and `text`, their `encode_texts`, read only when text features are on."""
     text = text if space.config.use_text else None
     block = CandidateBlock.from_text(business_idx, text, space.config.text_hash_buckets)
     v = forward_candidates(params, block).out
-    preds = require_finite(rating_predict(params, users, v), "rating predictions")
-    return [(float(p), float(l)) for p, l in zip(preds, star_labels(records, space.config))]
+    return require_finite(rating_predict(params, users, v), "rating predictions")
 
 
 def predict_ratings(
@@ -387,8 +386,10 @@ def predict_ratings(
 ) -> list[tuple[float, float]]:
     """(predicted, actual) rating pairs for a list of records."""
     text = encode_texts(r.text for r in records) if space.config.use_text else None
-    queries = QueryBlock.from_records(records, space)
-    return _rating_pairs(params, forward_users(params, queries).out, records, space, text)
+    users = forward_users(params, QueryBlock.from_records(records, space)).out
+    business_idx = [space.business_vocab.lookup(r.business_id) for r in records]
+    preds = _rating_predictions(params, users, business_idx, space, text)
+    return [(float(p), float(l)) for p, l in zip(preds, star_labels(records, space.config))]
 
 
 def evaluate(
@@ -422,15 +423,14 @@ def evaluate(
         test_text = encode_texts(r.text for r in test_records)
     queries = QueryBlock.from_records(test_records, space)
     users = forward_users(params, queries).out
-    error = rmse(_rating_pairs(params, users, test_records, space, test_text))
-
     lookup = space.business_vocab.lookup
-    true_idx = np.array([lookup(r.business_id) for r in test_records], dtype=np.int64)
-    known = np.flatnonzero(true_idx > 0)
-    ranks = np.full(len(test_records), np.iinfo(np.int64).max)  # cold start: a miss at every K
-    if known.size:
-        scores = retrieval_scores(params, users[known], candidates)
-        ranks[known] = retrieval_ranks(scores, true_idx[known] - 1)
+    business_idx = np.array([lookup(r.business_id) for r in test_records], dtype=np.int64)
+    preds = _rating_predictions(params, users, business_idx, space, test_text)
+    error = rmse(np.column_stack([preds, star_labels(test_records, space.config)]))
+
+    scores = retrieval_scores(params, users, candidates)
+    ranks = retrieval_ranks(scores, np.maximum(business_idx - 1, 0))  # column j: business j + 1
+    ranks[business_idx == 0] = np.iinfo(ranks.dtype).max  # a cold-start target misses at every K
     top_k = {int(k): _accuracy_at(ranks, int(k)) for k in config.ks}
 
     confusion = None

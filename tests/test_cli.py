@@ -126,11 +126,13 @@ class TestCheckpointFormat:
         self.make(b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_truncation_detected(self, tmp_path):
+    @pytest.mark.parametrize("end", [-3, 0, len(MAGIC) - 1],
+                             ids=["tensor-values", "empty", "inside-magic"])
+    def test_truncation_detected(self, end, tmp_path):
         path = tmp_path / "c.ckpt"
         self.make(path)
         data = path.read_bytes()
-        path.write_bytes(data[:-3])
+        path.write_bytes(data[:end])
         with pytest.raises(CorruptFile):
             load_checkpoint(path)
 

@@ -200,7 +200,8 @@ def reviewed_corpus(seed=6):
 
 
 class TestEvaluateEncodesText:
-    """`evaluate` tokenizes each review once, and only when it needs text."""
+    """`evaluate` tokenizes each review once, and only when it needs text,
+    and looks each test business up once."""
 
     MNB_BUCKETS = 256
 
@@ -237,6 +238,16 @@ class TestEvaluateEncodesText:
         self.evaluate(mnb=True)
         assert sorted(calls["tokenize_text"]) == sorted((r.text,) for r in self.corpus.records)
         assert calls["text_bucket_counts"] == []
+
+    @pytest.mark.parametrize("use_text, mnb", [(True, False), (False, False), (False, True)])
+    def test_each_test_business_looked_up_once(self, use_text, mnb, monkeypatch):
+        self.setup(use_text)
+        vocab = self.space.business_vocab
+        calls = []
+        lookup = vocab.lookup
+        monkeypatch.setattr(vocab, "lookup", lambda ident: calls.append(ident) or lookup(ident))
+        self.evaluate(mnb=mnb)
+        assert calls == [r.business_id for r in self.test]
 
     def test_without_text_or_mnb_tokenizes_nothing(self, monkeypatch):
         self.setup(use_text=False)
@@ -316,8 +327,8 @@ class TestEvaluateRanksOnce:
         assert len(calls) == 1  # the ratings and every K read one forward
         monkeypatch.undo()
 
-        # Only known targets are ranked, among the businesses without the
-        # OOV entry; a cold-start target is a miss.
+        # The oracle ranks only known targets, among the businesses without
+        # the OOV entry; a cold-start target is a miss.
         known = [r for r in self.test if r.business_id in self.space.business_vocab]
         assert 0 < len(known) < len(self.test)
         queries = [encode_query(r, self.space) for r in known]
@@ -352,13 +363,12 @@ class TestEvaluateRanksOnce:
         report = self.evaluate(ks=(v,))
         assert report.top_k == {v: known / len(self.test)}
 
-    def test_all_cold_targets_rank_nothing(self, monkeypatch):
+    def test_all_cold_targets_rank_nothing(self):
         test = set(self.split.test)
         corpus = Corpus(records=tuple(
             replace(r, business_id=f"cold-{i}") if i in test else r
             for i, r in enumerate(self.corpus.records)
         ))
-        monkeypatch.setattr(evaluation, "retrieval_ranks", None)  # must not be called
         report = self.evaluate(corpus)
         assert report.top_k == {k: 0.0 for k in self.KS}
 
