@@ -6,7 +6,11 @@ candidate set, stabilized by max-subtraction. The joint objective is the
 weighted sum of the two. The loss functions and the hand-written backprop
 share one forward per task, and below the heads each tower's forward
 record runs its own backward; gradients are verified against central
-finite differences in float64.
+finite differences in float64. Phase 2 of the two-phase schedule runs
+each tower once over the train reviews, in `batch_size` chunks, and then
+trains the retrieval head alone on those outputs: 2·n·k float32 values
+for n train reviews under the in-batch softmax, n·k plus the corpus rows'
+under the full-corpus one.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -174,16 +178,16 @@ def _rating_forward(batch: Batch, params: ModelParams) -> tuple[float, tuple]:
     return float(np.mean(diff**2)), (q, c, diff)
 
 
-def _retrieval_forward(batch: Batch, params: ModelParams) -> tuple[float, tuple]:
-    """Softmax cross-entropy of each true candidate against the softmax set,
-    stabilized by max-subtraction, and its cache (user tower, softmax-set
-    tower, both projections, the shifted exponentials and their row sums)."""
-    q = forward_users(params, batch.query_block)
-    c = forward_candidates(params, batch.softmax_block)
-    ur = retrieval_project(params, "user", q.out)
-    vr = retrieval_project(params, "item", c.out)
+def _retrieval_head(
+    params: ModelParams, q_out: np.ndarray, c_out: np.ndarray, true: np.ndarray
+) -> tuple[float, tuple]:
+    """Softmax cross-entropy of each query's true candidate (row i of `q_out`
+    against row true[i] of `c_out`), stabilized by max-subtraction, and its
+    cache (the tower outputs, the true indices, both projections, the
+    shifted exponentials and their row sums)."""
+    ur = retrieval_project(params, "user", q_out)
+    vr = retrieval_project(params, "item", c_out)
     scores = (ur @ vr.T).astype(np.float64)
-    true = batch.true_indices
     if true.min() < 0 or true.max() >= scores.shape[1]:
         raise CandidateMissing("true index outside the candidate set")
     m = scores.max(axis=1, keepdims=True)
@@ -191,7 +195,16 @@ def _retrieval_forward(batch: Batch, params: ModelParams) -> tuple[float, tuple]
     z = exp.sum(axis=1, keepdims=True)
     true_scores = scores[np.arange(len(true)), true]
     loss = float(np.mean(np.log(z[:, 0]) + m[:, 0] - true_scores))
-    return loss, (q, c, ur, vr, exp, z)
+    return loss, (q_out, c_out, true, ur, vr, exp, z)
+
+
+def _retrieval_forward(batch: Batch, params: ModelParams) -> tuple[float, tuple]:
+    """The retrieval loss and its cache (user tower, softmax-set tower,
+    retrieval head)."""
+    q = forward_users(params, batch.query_block)
+    c = forward_candidates(params, batch.softmax_block)
+    loss, head = _retrieval_head(params, q.out, c.out, batch.true_indices)
+    return loss, (q, c, head)
 
 
 def rating_loss(batch: Batch, params: ModelParams) -> float:
@@ -209,9 +222,9 @@ def retrieval_log_prob(
     params: ModelParams,
 ) -> float:
     """log P(true candidate | query) under the candidate-set softmax."""
-    # Only the retrieval task reads this batch; its rating half is a placeholder.
-    batch = Batch([x], [CandidateFeatures(0)], [0.0], candidates, [y_true_index])
-    return -retrieval_loss(batch, params)
+    q = forward_users(params, QueryBlock.from_features([x]))
+    c = forward_candidates(params, CandidateBlock.from_features(candidates))
+    return -_retrieval_head(params, q.out, c.out, np.array([y_true_index], dtype=np.int64))[0]
 
 
 def joint_loss(batch: Batch, params: ModelParams, weights: LossWeights) -> float:
@@ -235,21 +248,22 @@ def _rating_backward(params: ModelParams, cache: tuple, weight: float, grads: di
 
 
 def _retrieval_head_backward(
-    batch: Batch, params: ModelParams, cache: tuple, weight: float, grads: dict
+    params: ModelParams, cache: tuple, weight: float, grads: dict
 ) -> tuple[np.ndarray, np.ndarray]:
     """Add `weight` times the retrieval loss gradient of the retrieval head to
-    `grads`; return the gradients w.r.t. the user and candidate tower outputs."""
-    q, c, ur, vr, exp, z = cache
+    `grads`, from `_retrieval_head`'s cache; return the gradients w.r.t. the
+    user and candidate tower outputs."""
+    q_out, c_out, true, ur, vr, exp, z = cache
     t = params.tensors
     n = len(z)
     d_scores = exp / z  # softmax probabilities
-    d_scores[np.arange(n), batch.true_indices] -= 1.0
+    d_scores[np.arange(n), true] -= 1.0
     d_scores = ((weight / n) * d_scores).astype(params.dtype)
     d_ur = d_scores @ vr
     d_vr = d_scores.T @ ur
-    grads["retrieval_head.user.w"] += q.out.T @ d_ur
+    grads["retrieval_head.user.w"] += q_out.T @ d_ur
     grads["retrieval_head.user.b"] += d_ur.sum(axis=0)
-    grads["retrieval_head.item.w"] += c.out.T @ d_vr
+    grads["retrieval_head.item.w"] += c_out.T @ d_vr
     grads["retrieval_head.item.b"] += d_vr.sum(axis=0)
     return d_ur @ t["retrieval_head.user.w"].T, d_vr @ t["retrieval_head.item.w"].T
 
@@ -269,10 +283,10 @@ def loss_and_gradients(
         l_rating, cache = _rating_forward(batch, params)
         _rating_backward(params, cache, weights.rating, grads)
     if weights.retrieval != 0.0:
-        l_retrieval, cache = _retrieval_forward(batch, params)
-        d_u, d_v = _retrieval_head_backward(batch, params, cache, weights.retrieval, grads)
-        cache[0].backward(params, d_u, grads)
-        cache[1].backward(params, d_v, grads)
+        l_retrieval, (q, c, head) = _retrieval_forward(batch, params)
+        d_u, d_v = _retrieval_head_backward(params, head, weights.retrieval, grads)
+        q.backward(params, d_u, grads)
+        c.backward(params, d_v, grads)
     return l_rating, l_retrieval, grads
 
 
@@ -478,28 +492,25 @@ class TrainInputs:
         )
 
 
-def _iter_batches(
-    inputs: TrainInputs, order: np.ndarray, config: TrainConfig
-) -> Iterable[Batch]:
-    for start in range(0, len(order), config.batch_size):
-        idx = order[start : start + config.batch_size]
-        queries = inputs.queries.take(idx)
-        cands = [inputs.candidates[i] for i in idx]
-        labels = inputs.labels[idx]
-        if config.softmax_mode == "full_corpus":
-            yield Batch.full_corpus(queries, cands, labels, inputs.corpus_block)
-        else:
-            yield Batch.in_batch(queries, cands, labels)
+def _batch(inputs: TrainInputs, idx: np.ndarray, config: TrainConfig) -> Batch:
+    """Train rows `idx` as a batch of `config`'s softmax mode."""
+    queries = inputs.queries.take(idx)
+    cands = [inputs.candidates[i] for i in idx]
+    labels = inputs.labels[idx]
+    if config.softmax_mode == "full_corpus":
+        return Batch.full_corpus(queries, cands, labels, inputs.corpus_block)
+    return Batch.in_batch(queries, cands, labels)
 
 
 def _fit(
     inputs: TrainInputs, config: TrainConfig, params: ModelParams,
-    step: Callable[[Batch, ModelParams, LossWeights], tuple],
+    step: Callable[[np.ndarray], tuple],
 ) -> list[EpochTrace]:
-    """Seeded mini-batch Adagrad at `config`'s loss weights. `step(batch,
-    params, weights)` returns a batch's rating loss, retrieval loss and the
-    gradients of the tensors it trains. Shuffling is seeded with `config.seed`,
-    and each epoch's losses average the batch losses seen before each update."""
+    """Seeded mini-batch Adagrad at `config`'s loss weights. `step(idx)`
+    takes a batch's train rows and returns its rating loss, retrieval loss,
+    the gradients of the tensors it trains, and the id-table rows to update
+    (see `adagrad_step`). Shuffling is seeded with `config.seed`, and each
+    epoch's losses average the batch losses seen before each update."""
     n = len(inputs.queries)
     if n == 0:
         raise ValueError("no training examples")
@@ -511,11 +522,11 @@ def _fit(
         order = rng.permutation(n)
         sums = np.zeros(2)
         batches = 0
-        for batch in _iter_batches(inputs, order, config):
-            l_rat, l_ret, grads = step(batch, params, weights)
+        for start in range(0, n, config.batch_size):
+            l_rat, l_ret, grads, rows = step(order[start : start + config.batch_size])
             joint = weights.rating * l_rat + weights.retrieval * l_ret
             require_finite(joint, f"loss at epoch {epoch}")
-            adagrad_step(params, grads, state, _held_rows(batch, params))
+            adagrad_step(params, grads, state, rows)
             sums += (l_rat, l_ret)
             batches += 1
         mean_rat, mean_ret = sums / batches
@@ -540,7 +551,12 @@ def train(
         use_date=space.config.use_date,
         text_buckets=space.config.text_hash_buckets,
     )
-    return params, _fit(inputs, config, params, loss_and_gradients)
+
+    def step(idx):
+        batch = _batch(inputs, idx, config)
+        return (*loss_and_gradients(batch, params, config.weights), _held_rows(batch, params))
+
+    return params, _fit(inputs, config, params, step)
 
 
 RETRIEVAL_HEAD_TENSORS = (
@@ -551,15 +567,27 @@ RETRIEVAL_HEAD_TENSORS = (
 )
 
 
-def _head_step(
-    batch: Batch, params: ModelParams, weights: LossWeights
-) -> tuple[float, float, dict[str, np.ndarray]]:
-    """Phase 2's step: the towers run forward only, and only the retrieval
-    head gets gradients (the rating task is off, so its loss reads 0)."""
-    loss, cache = _retrieval_forward(batch, params)
-    grads = {n: np.zeros_like(params.tensors[n]) for n in RETRIEVAL_HEAD_TENSORS}
-    _retrieval_head_backward(batch, params, cache, weights.retrieval, grads)
-    return 0.0, loss, grads
+def _tower_outputs(
+    inputs: TrainInputs, config: TrainConfig, params: ModelParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """The tower outputs phase 2's softmax reads: row i of the first is train
+    row i's user-tower output, and the second holds each train row's
+    pair-candidate output (in-batch) or the corpus block's (full corpus).
+    The towers run over the train rows in index order, `batch_size` rows at
+    a time; a row's output depends only on its own input, so it has the
+    bits of the same row in any batch."""
+    n = len(inputs.queries)
+    user_out = np.empty((n, params.k), dtype=params.dtype)
+    in_batch = config.softmax_mode == "in_batch"
+    cand_out = (np.empty((n, params.k), dtype=params.dtype) if in_batch
+                else forward_candidates(params, inputs.corpus_block).out)
+    for start in range(0, n, config.batch_size):
+        rows = slice(start, start + config.batch_size)
+        user_out[rows] = forward_users(params, inputs.queries.take(rows)).out
+        if in_batch:
+            pairs = CandidateBlock.from_features(inputs.candidates[rows])
+            cand_out[rows] = forward_candidates(params, pairs).out
+    return user_out, cand_out
 
 
 @dataclass
@@ -582,5 +610,21 @@ def two_phase_train(
     params, trace1 = train(inputs, space, pretrain)
     phase1 = params.clone()
     phase2 = replace(config, weights=LossWeights(0.0, 1.0))
-    trace2 = _fit(inputs, phase2, params, _head_step)
+    user_out, cand_out = _tower_outputs(inputs, config, params)
+    pair_business = np.fromiter((c.business_index for c in inputs.candidates), dtype=np.int64,
+                                count=len(inputs.candidates))
+
+    def head_step(idx):
+        """Only the retrieval head runs and gets gradients (the rating task
+        is off, so its loss reads 0), and no id-table row is updated."""
+        if config.softmax_mode == "in_batch":
+            c_out, true = cand_out[idx], np.arange(len(idx))
+        else:
+            c_out, true = cand_out, pair_business[idx]
+        loss, cache = _retrieval_head(params, user_out[idx], c_out, true)
+        grads = {n: np.zeros_like(params.tensors[n]) for n in RETRIEVAL_HEAD_TENSORS}
+        _retrieval_head_backward(params, cache, phase2.weights.retrieval, grads)
+        return 0.0, loss, grads, None
+
+    trace2 = _fit(inputs, phase2, params, head_step)
     return TwoPhaseResult(params=params, phase1_params=phase1, trace=trace1 + trace2)

@@ -41,10 +41,9 @@ from poirec.training import (
     retrieval_loss,
     train,
     two_phase_train,
+    _batch,
     _build_tiny_setup,
-    _head_step,
     _held_rows,
-    _iter_batches,
 )
 from _synth import latent_factor_corpus
 from poirec.corpus import temporal_split
@@ -381,7 +380,8 @@ def dense_adagrad_fit(inputs, config, params, step):
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(inputs.queries))
         sums, batches = np.zeros(2), 0
-        for batch in _iter_batches(inputs, order, config):
+        for start in range(0, len(order), config.batch_size):
+            batch = _batch(inputs, order[start : start + config.batch_size], config)
             l_rat, l_ret, grads = step(batch, params, weights)
             adagrad_step(params, grads, state)
             sums += (l_rat, l_ret)
@@ -465,16 +465,20 @@ class TestTrainLoop:
         _, trace = train(inputs, space, cfg)
         assert trace[-1].joint_loss < trace[0].joint_loss
 
+    @pytest.mark.parametrize("batch_size", [1, 16, 200], ids=["batch1", "batch16", "one-batch"])
     @pytest.mark.parametrize("mode", ["in_batch", "full_corpus"])
-    def test_phase_two_equals_the_full_stop_gradient(self, mode, monkeypatch):
+    def test_phase_two_equals_the_full_stop_gradient(self, mode, batch_size, monkeypatch):
         """Phase 2 gives the parameter bytes and epoch lines of the full
         stop-gradient (a joint step at weights (0, 1), every gradient but the
-        retrieval head's zeroed, Adagrad over every tensor), and runs no
-        backward through the towers."""
+        retrieval head's zeroed, Adagrad over every tensor). It builds no
+        batch, runs no backward through the towers, and runs each tower once
+        over the train rows, in `batch_size` chunks, however many epochs it
+        trains. A batch of 200 holds all 108 train reviews."""
         records, space = texted_records()
         inputs = TrainInputs.from_records(records, space)
-        cfg = TrainConfig(batch_size=16, epochs=2, seed=3, embed_dim=4, learning_rate=0.05,
-                          schedule="two_phase", softmax_mode=mode)
+        n = len(records)
+        cfg = TrainConfig(batch_size=batch_size, epochs=2, seed=3, embed_dim=4,
+                          learning_rate=0.05, schedule="two_phase", softmax_mode=mode)
         phase1, trace1 = train(
             inputs, space, replace(cfg, schedule="joint", weights=LossWeights(1.0, 0.0))
         )
@@ -482,30 +486,59 @@ class TestTrainLoop:
         want_lines = [e.line() for e in trace1] + full_stop_gradient_phase_two(inputs, cfg, want)
 
         calls = Counter()
-        for owner, name in ((training, "loss_and_gradients"), (TowerCache, "backward")):
+        in_step = []  # non-empty while a joint step runs
+        outside = []  # (tower, rows) of each forward that no joint step runs
+
+        def joint_step(*a, _real=training.loss_and_gradients):
+            calls.update(["loss_and_gradients"])
+            in_step.append(True)
+            try:
+                return _real(*a)
+            finally:
+                in_step.pop()
+
+        def tower(name, real):
+            def run(params, block):
+                if not in_step:
+                    outside.append((name, "corpus" if block is inputs.corpus_block else len(block)))
+                return real(params, block)
+            return run
+
+        monkeypatch.setattr(training, "loss_and_gradients", joint_step)
+        for owner, name, key in ((TowerCache, "backward", "backward"),
+                                 (Batch, "__post_init__", "Batch")):
             real = getattr(owner, name)
             monkeypatch.setattr(owner, name,
-                                lambda *a, _real=real, _name=name: calls.update([_name]) or _real(*a))
+                                lambda *a, _real=real, _key=key: calls.update([_key]) or _real(*a))
+        for name in ("forward_users", "forward_candidates"):
+            monkeypatch.setattr(training, name, tower(name, getattr(training, name)))
         result = two_phase_train(inputs, space, cfg)
 
         assert [e.line() for e in result.trace] == want_lines
         for name, t in want.tensors.items():
             got = result.params.tensors[name]
             assert got.dtype == t.dtype and got.tobytes() == t.tobytes(), name
-        assert any(not np.array_equal(phase1.tensors[n], want.tensors[n])
-                   for n in RETRIEVAL_HEAD_TENSORS)
-        phase1_batches = cfg.epochs * math.ceil(len(records) / cfg.batch_size)
-        assert calls == {"loss_and_gradients": phase1_batches, "backward": 2 * phase1_batches}
+        if not (mode == "in_batch" and batch_size == 1):  # a one-candidate softmax has no gradient
+            assert any(not np.array_equal(phase1.tensors[n], want.tensors[n])
+                       for n in RETRIEVAL_HEAD_TENSORS)
+        phase1_batches = cfg.epochs * math.ceil(n / batch_size)
+        assert calls == {"loss_and_gradients": phase1_batches, "backward": 2 * phase1_batches,
+                         "Batch": phase1_batches}
+        chunks = [min(batch_size, n - start) for start in range(0, n, batch_size)]
+        assert [rows for name, rows in outside if name == "forward_users"] == chunks
+        pair_forwards = [rows for name, rows in outside if name == "forward_candidates"]
+        assert pair_forwards == (chunks if mode == "in_batch" else ["corpus"])
 
     @pytest.mark.parametrize("use_text", [True, False], ids=["text", "ids"])
     @pytest.mark.parametrize("schedule", ["joint", "two_phase"])
     @pytest.mark.parametrize("mode", ["in_batch", "full_corpus"])
     def test_row_sparse_tables_equal_dense_adagrad(self, mode, schedule, use_text, monkeypatch):
         """`train` and `two_phase_train` give the tensor bytes and epoch lines
-        of the same loop with Adagrad over every row, and every step passes
-        both id tables' held rows: batches of 3 hold a few of the 21 users,
+        of the same loop with Adagrad over every row. Every joint step passes
+        both id tables' held rows (batches of 3 hold a few of the 21 users,
         and a few of the 13 businesses in in-batch mode, every one of them
-        under the full-corpus softmax."""
+        under the full-corpus softmax), and a phase-2 step, which gives no
+        table a gradient, passes none."""
         records, space = texted_records(use_text)
         inputs = TrainInputs.from_records(records, space)
         cfg = TrainConfig(batch_size=3, epochs=2, seed=5, embed_dim=4, learning_rate=0.1,
@@ -524,11 +557,13 @@ class TestTrainLoop:
             phase1 = replace(cfg, schedule="joint", weights=LossWeights(1.0, 0.0))
             want = fresh_params(space, phase1)
             want_lines = dense_adagrad_fit(inputs, phase1, want, loss_and_gradients)
-            want_lines += dense_adagrad_fit(inputs, replace(cfg, weights=LossWeights(0.0, 1.0)),
-                                            want, _head_step)
+            want_lines += full_stop_gradient_phase_two(inputs, cfg, want)
 
-        assert tables_per_step
-        assert all(step == {"user_table", "business_table"} for step in tables_per_step)
+        joint_steps = cfg.epochs * math.ceil(len(records) / cfg.batch_size)
+        phases = (1 if schedule == "joint" else 2)
+        assert len(tables_per_step) == phases * joint_steps
+        assert all(step == {"user_table", "business_table"} for step in tables_per_step[:joint_steps])
+        assert all(step == set() for step in tables_per_step[joint_steps:])
         assert [e.line() for e in trace] == want_lines
         assert got.tensors.keys() == want.tensors.keys()
         for name, t in want.tensors.items():
@@ -667,9 +702,9 @@ class TestCompiledInputs:
         inputs = TrainInputs.from_records(records, space)
         order = np.random.default_rng(3).permutation(len(records))
         config = TrainConfig(batch_size=24, softmax_mode=mode, embed_dim=4)
-        compiled = next(iter(_iter_batches(inputs, order, config)))
-
         idx = order[:24]
+        compiled = _batch(inputs, idx, config)
+
         queries = [encode_query(records[i], space) for i in idx]
         cands = [encode_candidate(records[i], space) for i in idx]
         labels = inputs.labels[idx]
