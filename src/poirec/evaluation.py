@@ -435,6 +435,8 @@ def evaluate(
 
     confusion = None
     if mnb:
+        if config.mnb_buckets > 1 << 63:  # int64 holds no bucket index past 2**63 - 1
+            raise MemoryError(f"cannot allocate counts over {config.mnb_buckets} buckets")
         train_records = [corpus.records[i] for i in split.train]
         train_text = encode_texts(r.text for r in train_records)
         # The hashed vocabulary is the whole bucket space, so a test review

@@ -5,6 +5,12 @@ normalized position in the corpus date range and the sin/cos of the month
 angle. Candidate features carry the business index plus (optionally) a
 sparse bucket->count multiset of hashed review tokens.
 
+A review's tokens are the runs of alphanumeric code points of its
+lowercased text: one translate table maps every other code point to a
+space, and `split` cuts there. They are the runs the regex `[^\\W_]+`
+finds, as that class holds exactly the code points where `str.isalnum()`
+is true. A review's bucket counts are one `Counter` over its tokens'
+buckets, each read from a memo table for that bucket count.
 `encode_texts` tokenizes a list of reviews once into arrays (`TextCSR`);
 any bucket space is then an exact modulus of one FNV-1a-64 value per
 distinct token (the hashing trick, Weinberger et al. 2009).
@@ -17,17 +23,14 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, get_type_hints
+from typing import Callable, Iterable, Mapping, Optional, Sequence, get_type_hints
 
 import numpy as np
 
 from .corpus import InteractionRecord
-
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -127,12 +130,35 @@ def star_labels(records: Sequence[InteractionRecord], config: FeatureConfig) -> 
     return labels
 
 
+_MEMO_CAP = 1 << 16  # keys a memo table stores; past it a value is computed, not stored
+
+
+class _Memo(dict):
+    """key -> `fn(key)`, stored on first lookup while under `_MEMO_CAP` keys."""
+
+    def __init__(self, fn: Callable):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self.fn(key)
+        if len(self) < _MEMO_CAP:
+            self[key] = value
+        return value
+
+
+# `str.translate` table: an alphanumeric code point maps to itself, any other to a space.
+_SEPARATORS = _Memo(lambda cp: cp if chr(cp).isalnum() else 32)
+
+
 def tokenize_text(text: str) -> list[str]:
-    """Lowercase and split on runs of non-alphanumeric characters."""
-    return _TOKEN_RE.findall(text.lower())
+    """Lowercase and split on runs of non-alphanumeric characters. No
+    code point is both alphanumeric and whitespace, so `split` breaks only
+    at the spaces the translation put in."""
+    return text.lower().translate(_SEPARATORS).split()
 
 
-@functools.lru_cache(maxsize=1 << 16)
+@functools.lru_cache(maxsize=_MEMO_CAP)
 def _fnv1a64(token: str) -> int:
     """FNV-1a 64-bit over UTF-8 bytes. Memoised: a corpus repeats a few
     thousand distinct tokens hundreds of thousands of times."""
@@ -149,20 +175,22 @@ def hash_token(token: str, buckets: int) -> int:
     return _fnv1a64(token) % buckets
 
 
+@functools.lru_cache(maxsize=8, typed=True)
+def _bucket_table(buckets: int) -> _Memo:
+    """token -> `hash_token(token, buckets)`."""
+    return _Memo(lambda token: _fnv1a64(token) % buckets)
+
+
 def text_bucket_counts(text: str, buckets: int) -> dict[int, int]:
     """Bucket -> token count, buckets in order of first occurrence.
 
-    Each distinct token is hashed once; walking the distinct tokens in
-    first-appearance order inserts the buckets in the same order as a
-    walk over every token would.
+    One `Counter` over the sequence of the tokens' buckets: it keeps each
+    bucket at its first appearance and sums the counts of the tokens that
+    share it, as a walk over every token would.
     """
     if buckets < 2:
         raise ValueError("buckets must be >= 2")
-    counts: dict[int, int] = {}
-    for token, n in Counter(tokenize_text(text)).items():
-        idx = _fnv1a64(token) % buckets
-        counts[idx] = counts.get(idx, 0) + n
-    return counts
+    return dict(Counter(map(_bucket_table(buckets).__getitem__, tokenize_text(text))))
 
 
 def counts_csr(
@@ -198,8 +226,8 @@ class TextCSR:
 
     def buckets(self, buckets: int) -> np.ndarray:
         """Bucket of every entry, `hash_token(token, buckets)`, as int64."""
-        if buckets < 2:
-            raise ValueError("buckets must be >= 2")
+        if not 2 <= buckets <= 1 << 63:
+            raise ValueError(f"buckets must be >= 2 and at most 2**63 (int64 buckets): {buckets}")
         return (self.h64 % np.uint64(buckets)).astype(np.int64)[self.token_ids]
 
     def bucket_rows(self, buckets: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

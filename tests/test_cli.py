@@ -658,7 +658,8 @@ class TestEvaluate:
                      "--report", str(report), "--mnb"]) == 0
         assert "confusion.micro.support=4" in report.read_text()
 
-    @pytest.mark.parametrize("size", [10**18, 10**15], ids=["too-big-to-index", "no-such-memory"])
+    @pytest.mark.parametrize("size", [10**18, 10**15, 2**63, 2**64],
+                             ids=["too-big-to-index", "no-such-memory", "2**63", "2**64"])
     def test_unallocatable_mnb_buckets_is_a_clean_error(self, size, corpus_file, tmp_path,
                                                          capsys):
         config = tmp_path / "train.cfg"

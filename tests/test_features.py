@@ -2,6 +2,8 @@
 
 import datetime
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -76,6 +78,32 @@ class TestTokenize:
             assert token == token.lower()
             assert all(ch.isalnum() for ch in token)
 
+    def test_regex_word_class_is_isalnum_on_every_code_point(self):
+        """The translate table keeps exactly the code points `[^\\W_]`
+        matches, and `split` cuts only at the spaces it inserts."""
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"[^\W_]", every) == [ch for ch in every if ch.isalnum()]
+        assert not any(ch.isalnum() and ch.isspace() for ch in every)
+
+    @given(st.text(st.characters(exclude_categories=()), max_size=80))  # surrogates too
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_regex(self, text):
+        assert tokenize_text(text) == _regex_tokens(text)
+
+    def test_separator_table_stops_at_its_cap(self, monkeypatch):
+        monkeypatch.setattr(features, "_MEMO_CAP", 8)
+        features._SEPARATORS.clear()
+        text = "".join(map(chr, range(0x20, 0x220)))  # 512 code points, alnum and not
+        assert tokenize_text(text) == _regex_tokens(text)
+        assert len(features._SEPARATORS) == 8
+        assert tokenize_text(text) == _regex_tokens(text)
+
+
+def _regex_tokens(text: str) -> list[str]:
+    """The tokenizer as first written: runs of the regex word class less
+    the underscore, over the lowercased text."""
+    return re.findall(r"[^\W_]+", text.lower())
+
 
 def _fnv1a_64_reference(data: bytes) -> int:
     # independently written from the published constants
@@ -110,9 +138,10 @@ class TestHashToken:
 
 
 def _per_token_counts(text: str, buckets: int) -> dict[int, int]:
-    """The per-token `hash_token` loop, on the uncached reference hash."""
+    """The per-token `hash_token` loop, on the regex tokenizer and the
+    uncached reference hash."""
     counts: dict[int, int] = {}
-    for token in tokenize_text(text):
+    for token in _regex_tokens(text):
         idx = _fnv1a_64_reference(token.encode("utf-8")) % buckets
         counts[idx] = counts.get(idx, 0) + 1
     return counts
@@ -124,8 +153,19 @@ class TestTextBucketCounts:
     def test_equals_per_token_loop_cold_and_warm(self, text, buckets):
         want = list(_per_token_counts(text, buckets).items())
         features._fnv1a64.cache_clear()
+        features._bucket_table.cache_clear()
+        features._SEPARATORS.clear()
         assert list(text_bucket_counts(text, buckets).items()) == want
         assert list(text_bucket_counts(text, buckets).items()) == want
+
+    def test_bucket_table_stops_at_its_cap(self, monkeypatch):
+        monkeypatch.setattr(features, "_MEMO_CAP", 8)
+        features._bucket_table.cache_clear()
+        text = " ".join(f"w{i % 40}" for i in range(200))  # 40 distinct tokens
+        want = list(_per_token_counts(text, 7).items())
+        assert list(text_bucket_counts(text, 7).items()) == want
+        assert len(features._bucket_table(7)) == 8
+        assert list(text_bucket_counts(text, 7).items()) == want
 
     def test_insertion_order_follows_first_occurrence(self):
         # "b" comes first, and its bucket must come first, even though "a"
@@ -161,9 +201,11 @@ class TestEncodeTexts:
         assert encoded.h64.tolist() == [hash_token(t, 1 << 64) for t in "bac"]
         assert encoded.buckets(7).tolist() == [hash_token(t, 7) for t in "baacb"]
 
-    def test_buckets_checked(self):
+    @pytest.mark.parametrize("buckets", [1, 2**63 + 1, 2**64])
+    def test_buckets_checked(self, buckets):
+        """A bucket past 2**63 - 1 would wrap negative as int64."""
         with pytest.raises(ValueError):
-            encode_texts(["a"]).buckets(1)
+            encode_texts(["a"]).buckets(buckets)
 
 
 class TestEncodeDate:
