@@ -158,7 +158,7 @@ def parse_record(line: str) -> InteractionRecord:
     """
     try:
         obj = _decode(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         if line.startswith("\ufeff"):  # the message json.loads gives a byte-order mark
             exc = json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
         raise MalformedLine(f"unparseable line: {exc}") from exc
@@ -222,22 +222,38 @@ def parse_record(line: str) -> InteractionRecord:
     return InteractionRecord(user_id, business_id, stars, text, date_days, (funny, useful, cool))
 
 
+_RECORD_LINE = (
+    '{"type": "review", "business_id": %s, "user_id": %s, "stars": %d, "text": %s, '
+    '"date": "%s", "votes": {"funny": %d, "useful": %d, "cool": %d}}'
+)
+_encode_str = json.encoder.encode_basestring  # the C escaper json.dumps(ensure_ascii=False) uses
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _iso_date(days: int) -> str:
+    return date_from_days(days).isoformat()
+
+
 def serialize_record(record: InteractionRecord) -> str:
-    """Inverse of parse_record; emits the review-line layout."""
-    obj = {
-        "type": "review",
-        "business_id": record.business_id,
-        "user_id": record.user_id,
-        "stars": record.stars,
-        "text": record.text,
-        "date": record.date.isoformat(),
-        "votes": {
-            "funny": record.votes[0],
-            "useful": record.votes[1],
-            "cool": record.votes[2],
-        },
-    }
-    return json.dumps(obj, ensure_ascii=False)
+    """Inverse of parse_record; emits the review-line layout.
+
+    One template over the fields: strings go through json's own C escaper
+    and integers through %d (json writes an int with int.__repr__), so the
+    line equals json.dumps(..., ensure_ascii=False) of the record's dict
+    with the keys in template order. The date is memoised per day, like
+    days_from_date.
+    """
+    funny, useful, cool = record.votes
+    return _RECORD_LINE % (
+        _encode_str(record.business_id),
+        _encode_str(record.user_id),
+        record.stars,
+        _encode_str(record.text),
+        _iso_date(record.date_days),
+        funny,
+        useful,
+        cool,
+    )
 
 
 def load_corpus(source: Iterable[str] | IO[str], skip_malformed: bool = False) -> Corpus:

@@ -14,6 +14,7 @@ when absent).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -106,9 +107,9 @@ def init_params(
             if name.endswith(".b"):
                 tensors[name] = np.zeros(shape, dtype=np.float32)
             else:
-                bound = 1.0 / np.sqrt(k if name.endswith("_table") else shape[0])
+                bound = 1.0 / math.sqrt(k if name.endswith("_table") else shape[0])
                 tensors[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
-        except ValueError as exc:  # numpy refuses a size it cannot index
+        except (ValueError, OverflowError) as exc:  # a size numpy or a float cannot hold
             raise MemoryError(f"cannot allocate tensor {name} of shape {shape}: {exc}") from None
     return ModelParams(k=k, use_text=use_text, use_date=use_date, tensors=tensors)
 

@@ -465,11 +465,15 @@ class TestConfigValidation:
         assert "empty train partition" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("size", [10**18, 10**15], ids=["too-big-to-index", "no-such-memory"])
+    @pytest.mark.parametrize(
+        "size", [10**400, 2**64, 10**18, 10**15],
+        ids=["past-float", "past-uint64", "too-big-to-index", "no-such-memory"],
+    )
     @pytest.mark.parametrize("key", ["embed_dim", "text_hash_buckets"])
     def test_unallocatable_size_is_a_clean_error(self, key, size, corpus_file, tmp_path, capsys):
-        """numpy refuses 10**18 as a size it cannot index and 10**15 as
-        memory no host has, before touching a page; both are `error:`."""
+        """10**400 has no float square root for the init bound; numpy refuses
+        2**64 and 10**18 as sizes it cannot index and 10**15 as memory no host
+        has, before touching a page; all are `error:`."""
         cfg = tmp_path / "big.cfg"
         cfg.write_text(f"epochs = 1\n{key} = {size}\n")
         out = tmp_path / "m.ckpt"
@@ -507,6 +511,26 @@ class TestIngest:
         assert rc == 0
         assert "skipped: 1" in capsys.readouterr().out
         assert len(out.read_text().splitlines()) == 150
+
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_deeply_nested_line_is_malformed(self, skip, tmp_path, corpus_file, capsys):
+        """A line json cannot decode without passing the recursion limit is
+        skipped, or is an `error:` naming its line, never a traceback."""
+        valid = corpus_file.read_text().splitlines()[0]
+        bad = tmp_path / "nested.jsonl"
+        bad.write_text(f"{valid}\n{'[' * 100_000}\n{valid}\n")
+        out = tmp_path / "clean.jsonl"
+        rc = main(["ingest", "--input", str(bad), "--out", str(out)]
+                  + ["--skip-malformed"] * skip)
+        captured = capsys.readouterr()
+        if skip:
+            assert rc == 0
+            assert "skipped: 1" in captured.out
+            assert out.read_text() == f"{valid}\n{valid}\n"
+        else:
+            assert rc == 1
+            assert captured.err.startswith("error: line 2: unparseable line")
+            assert "Traceback" not in captured.err
 
     def test_missing_input_file(self, tmp_path):
         rc = main(["ingest", "--input", str(tmp_path / "nope.jsonl"),

@@ -1,5 +1,6 @@
 """Ingestion, temporal split, and corpus statistics."""
 
+import datetime
 import io
 import json
 
@@ -130,6 +131,50 @@ class TestParseRecord:
         )
         assert parse_record(serialize_record(record)) == record
 
+
+def _oracle_serialize_record(record: InteractionRecord) -> str:
+    """`serialize_record` as it read before it became one template: a dict
+    per record and `json.dumps`."""
+    obj = {
+        "type": "review",
+        "business_id": record.business_id,
+        "user_id": record.user_id,
+        "stars": record.stars,
+        "text": record.text,
+        "date": record.date.isoformat(),
+        "votes": {
+            "funny": record.votes[0],
+            "useful": record.votes[1],
+            "cool": record.votes[2],
+        },
+    }
+    return json.dumps(obj, ensure_ascii=False)
+
+
+# Strings parse_record can yield: quotes, backslashes, control and non-BMP
+# characters, but no lone surrogate (the utf-8 codec excludes them).
+_SERIALIZED_STR = st.text(
+    st.characters(codec="utf-8")
+    | st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "\U0001F600"]),
+    max_size=12,
+)
+_EPOCH = datetime.date(1970, 1, 1).toordinal()
+
+
+class TestSerializeRecord:
+    @given(
+        user_id=_SERIALIZED_STR,
+        business_id=_SERIALIZED_STR,
+        stars=st.integers(1, 5),
+        text=_SERIALIZED_STR,
+        date_days=st.integers(datetime.date.min.toordinal() - _EPOCH,
+                              datetime.date.max.toordinal() - _EPOCH),
+        votes=st.tuples(*[st.integers(0, 2**70)] * 3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_json_dumps(self, user_id, business_id, stars, text, date_days, votes):
+        record = InteractionRecord(user_id, business_id, stars, text, date_days, votes)
+        assert serialize_record(record) == _oracle_serialize_record(record)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +423,18 @@ class TestLoadCorpus:
             load_corpus(io.StringIO(VALID_LINE + "\n" + line + "\n"))
         corpus = load_corpus(io.StringIO(line + "\n" + VALID_LINE + "\n"), skip_malformed=True)
         assert (len(corpus), corpus.skipped) == (1, 1)
+
+    @pytest.mark.parametrize("nested", ["[" * 100_000, '{"a": ' * 100_000],
+                             ids=["arrays", "objects"])
+    def test_deeply_nested_line_is_malformed(self, nested):
+        """json's decoder gives up on deep nesting with a RecursionError;
+        that line is malformed like any other."""
+        stream = io.StringIO(VALID_LINE + "\n" + nested + "\n" + VALID_LINE + "\n")
+        with pytest.raises(MalformedLine, match="line 2: unparseable line"):
+            load_corpus(stream)
+        stream.seek(0)
+        corpus = load_corpus(stream, skip_malformed=True)
+        assert (len(corpus), corpus.skipped) == (2, 1)
 
     def test_surrogate_pair_parses(self):
         line = VALID_LINE.replace('"text":"ok"', '"text":"ok \\ud83d\\ude00"')
