@@ -147,6 +147,13 @@ def _load_corpus_file(path: str, skip_malformed: bool = False) -> corpus_mod.Cor
 AUX_CANDIDATES = "aux.candidate_embeddings"
 
 
+def _require_finite_tensors(tensors: dict[str, np.ndarray]) -> None:
+    """FloatingPointError "non-finite tensor <name>" for the first tensor
+    with a NaN or infinity: `train` saves no checkpoint `_load_model` refuses."""
+    for name, tensor in tensors.items():
+        model.require_finite(tensor, f"tensor {name}")
+
+
 def _load_model(path: str) -> tuple[model.ModelParams, np.ndarray, FeatureSpace, dict]:
     """A checkpoint's model, precomputed candidate embeddings, feature
     space and config echo. Every tensor's name and shape must be the ones
@@ -168,8 +175,7 @@ def _load_model(path: str) -> tuple[model.ModelParams, np.ndarray, FeatureSpace,
             raise ckpt.CorruptFile(
                 f"tensor {name}: {got} in the file, {need} from the config echo and vocabularies"
             )
-    for name, tensor in tensors.items():
-        model.require_finite(tensor, f"tensor {name}")
+    _require_finite_tensors(tensors)
     core = {n: t for n, t in tensors.items() if n != AUX_CANDIDATES}
     params = model.ModelParams(
         k=k, use_text=cfg["use_text"], use_date=cfg["use_date"], tensors=core
@@ -242,6 +248,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     tensors = dict(params.tensors)
     tensors[AUX_CANDIDATES] = model.candidate_embeddings(params, inputs.corpus_block)
+    _require_finite_tensors(tensors)
     ckpt.save_checkpoint(
         args.out, tensors, space.user_vocab, space.business_vocab, config_echo(cfg)
     )

@@ -158,7 +158,7 @@ def parse_record(line: str) -> InteractionRecord:
     """
     try:
         obj = _decode(line)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
+    except (ValueError, RecursionError) as exc:  # bad JSON, a 4,301-digit int, deep nesting
         if line.startswith("\ufeff"):  # the message json.loads gives a byte-order mark
             exc = json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
         raise MalformedLine(f"unparseable line: {exc}") from exc

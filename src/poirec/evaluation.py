@@ -26,6 +26,7 @@ import numpy as np
 
 from .corpus import Corpus, InteractionRecord, temporal_split
 from .features import (
+    MAX_SIZE,
     CandidateFeatures,
     FeatureSpace,
     QueryFeatures,
@@ -74,8 +75,8 @@ class EvalConfig:
             raise ValueError(f"split_ratio must be strictly between 0 and 1: {self.split_ratio}")
         if not self.ks or min(self.ks) < 1:
             raise ValueError(f"ks must be one or more integers >= 1: {self.ks}")
-        if self.mnb_buckets < 2:
-            raise ValueError(f"mnb_buckets must be at least 2: {self.mnb_buckets}")
+        if not 2 <= self.mnb_buckets <= MAX_SIZE:
+            raise ValueError(f"mnb_buckets must be 2 to {MAX_SIZE}: {self.mnb_buckets}")
 
 
 def rmse(pairs: np.ndarray) -> float:
@@ -270,12 +271,9 @@ def mnb_fit(
     n_classes = len(classes)
     doc_counts = np.bincount(doc_class, minlength=n_classes).astype(np.float64)
     entry_class = np.repeat(doc_class, np.diff(indptr))
-    try:
-        token_counts = np.bincount(
-            entry_class * vocab_size + buckets, weights=counts, minlength=n_classes * vocab_size
-        ).reshape(n_classes, vocab_size)
-    except (ValueError, OverflowError) as exc:  # numpy refuses a size it cannot index
-        raise MemoryError(f"cannot allocate {n_classes} x {vocab_size} counts: {exc}") from None
+    token_counts = np.bincount(
+        entry_class * vocab_size + buckets, weights=counts, minlength=n_classes * vocab_size
+    ).reshape(n_classes, vocab_size)
     log_prior = np.log(doc_counts / doc_counts.sum())
     totals = token_counts.sum(axis=1, keepdims=True)
     log_likelihood = np.log((token_counts + alpha) / (totals + alpha * vocab_size))
@@ -435,8 +433,6 @@ def evaluate(
 
     confusion = None
     if mnb:
-        if config.mnb_buckets > 1 << 63:  # int64 holds no bucket index past 2**63 - 1
-            raise MemoryError(f"cannot allocate counts over {config.mnb_buckets} buckets")
         train_records = [corpus.records[i] for i in split.train]
         train_text = encode_texts(r.text for r in train_records)
         # The hashed vocabulary is the whole bucket space, so a test review

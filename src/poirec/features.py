@@ -80,6 +80,9 @@ def check_field_types(config) -> None:
 
 
 LABEL_SCALES = ("raw", "normalized")
+# The largest `embed_dim`, `text_hash_buckets` or `mnb_buckets`: the largest array they size, the
+# float64 draw of `business_tower.0.w`, is (2 * 2**24)**2 * 8 = 2**53 bytes < numpy's 2**63 limit.
+MAX_SIZE = 2**24
 
 
 @dataclass(frozen=True)
@@ -91,8 +94,8 @@ class FeatureConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.text_hash_buckets < 2:
-            raise ValueError("text_hash_buckets must be >= 2")
+        if not 2 <= self.text_hash_buckets <= MAX_SIZE:
+            raise ValueError(f"text_hash_buckets must be 2 to {MAX_SIZE}: {self.text_hash_buckets}")
         if self.label_scale not in LABEL_SCALES:
             raise ValueError(f"label_scale must be one of {LABEL_SCALES}: {self.label_scale!r}")
 

@@ -103,14 +103,11 @@ def init_params(
     rng = np.random.default_rng(seed)
     tensors: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(num_users, num_businesses, k, use_text, text_buckets).items():
-        try:
-            if name.endswith(".b"):
-                tensors[name] = np.zeros(shape, dtype=np.float32)
-            else:
-                bound = 1.0 / math.sqrt(k if name.endswith("_table") else shape[0])
-                tensors[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
-        except (ValueError, OverflowError) as exc:  # a size numpy or a float cannot hold
-            raise MemoryError(f"cannot allocate tensor {name} of shape {shape}: {exc}") from None
+        if name.endswith(".b"):
+            tensors[name] = np.zeros(shape, dtype=np.float32)
+        else:
+            bound = 1.0 / math.sqrt(k if name.endswith("_table") else shape[0])
+            tensors[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
     return ModelParams(k=k, use_text=use_text, use_date=use_date, tensors=tensors)
 
 

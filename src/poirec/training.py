@@ -24,6 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .features import (
+    MAX_SIZE,
     CandidateFeatures,
     FeatureSpace,
     QueryFeatures,
@@ -80,6 +81,8 @@ class TrainConfig:
         for name, low in (("batch_size", 1), ("epochs", 1), ("embed_dim", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}: {getattr(self, name)}")
+        if self.embed_dim > MAX_SIZE:
+            raise ValueError(f"embed_dim must be at most {MAX_SIZE}: {self.embed_dim}")
         # Adagrad runs in float32, where a smaller value is 0 and a larger one inf.
         lo, hi = float(np.finfo(np.float32).tiny), float(np.finfo(np.float32).max)
         for name in ("learning_rate", "epsilon"):

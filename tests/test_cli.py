@@ -1,5 +1,7 @@
 """End-to-end command line flows plus the checkpoint container format."""
 
+import contextlib
+import io
 import json
 import os
 import struct
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poirec import training
 from poirec.checkpoint import (
     MAGIC,
     VERSION,
@@ -41,7 +44,7 @@ from poirec.corpus import (
     temporal_split,
 )
 from poirec.evaluation import EvalConfig, retrieval_ranks, retrieval_scores
-from poirec.features import FeatureConfig, QueryFeatures, Vocabulary, hash_token
+from poirec.features import MAX_SIZE, FeatureConfig, QueryFeatures, Vocabulary, hash_token
 from poirec.model import QueryBlock, forward_users, retrieval_project
 from poirec.training import LossWeights, TrainConfig
 from _synth import latent_factor_corpus
@@ -466,22 +469,46 @@ class TestConfigValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "size", [10**400, 2**64, 10**18, 10**15],
-        ids=["past-float", "past-uint64", "too-big-to-index", "no-such-memory"],
+        "size", [10**400, 2**64, 10**18, 10**15, MAX_SIZE + 1],
+        ids=["past-float", "past-uint64", "too-big-to-index", "no-such-memory", "past-bound"],
     )
     @pytest.mark.parametrize("key", ["embed_dim", "text_hash_buckets"])
     def test_unallocatable_size_is_a_clean_error(self, key, size, corpus_file, tmp_path, capsys):
-        """10**400 has no float square root for the init bound; numpy refuses
-        2**64 and 10**18 as sizes it cannot index and 10**15 as memory no host
-        has, before touching a page; all are `error:`."""
+        """A size past MAX_SIZE is a bad value of its line, refused before
+        the corpus is read: no float square root, int64 index or host memory
+        is ever asked for it."""
         cfg = tmp_path / "big.cfg"
         cfg.write_text(f"epochs = 1\n{key} = {size}\n")
         out = tmp_path / "m.ckpt"
-        rc = main(["train", "--corpus", str(corpus_file), "--config", str(cfg),
+        rc = main(["train", "--corpus", str(tmp_path / "never-read.jsonl"),
+                   "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: line 2: bad value for {key}: {key} must be ")
+        assert captured.err.endswith(f" {MAX_SIZE}: {size}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["embed_dim", "text_hash_buckets", "mnb_buckets"])
+    def test_size_keys_share_one_bound(self, key):
+        owner, field = OWNERS[key]
+        assert owner(**{field: MAX_SIZE})
+        with pytest.raises(ValueError, match=f"^{key} must be .*{MAX_SIZE}: {MAX_SIZE + 1}$"):
+            owner(**{field: MAX_SIZE + 1})
+
+    def test_allocation_the_host_refuses_is_a_clean_error(self, corpus_file, config_file,
+                                                          tmp_path, monkeypatch, capsys):
+        """A size within the bound may still be more memory than the host
+        has: numpy's MemoryError is `error:` and exit 1, with no checkpoint."""
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.00 PiB")
+
+        monkeypatch.setattr(training, "init_params", refuse)
+        out = tmp_path / "m.ckpt"
+        rc = main(["train", "--corpus", str(corpus_file), "--config", str(config_file),
                    "--out", str(out)])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "allocate" in err and "Traceback" not in err
+        assert capsys.readouterr().err == "error: Unable to allocate 2.00 PiB\n"
         assert not out.exists()
 
     def test_k_list_parses(self):
@@ -512,13 +539,19 @@ class TestIngest:
         assert "skipped: 1" in capsys.readouterr().out
         assert len(out.read_text().splitlines()) == 150
 
-    @pytest.mark.parametrize("skip", [False, True])
-    def test_deeply_nested_line_is_malformed(self, skip, tmp_path, corpus_file, capsys):
-        """A line json cannot decode without passing the recursion limit is
-        skipped, or is an `error:` naming its line, never a traceback."""
+    @pytest.mark.parametrize("skip, line", [(False, "nested"), (True, "nested"),
+                                            (False, "huge-int"), (True, "huge-int")],
+                             ids=["False", "True", "huge-int-False", "huge-int-True"])
+    def test_deeply_nested_line_is_malformed(self, skip, line, tmp_path, corpus_file, capsys):
+        """A line json cannot decode without passing the recursion limit, or
+        one with an integer of more than 4,300 digits (Python's limit on
+        int() of a string), is skipped, or is an `error:` naming its line,
+        never a traceback."""
         valid = corpus_file.read_text().splitlines()[0]
+        bad_line = ("[" * 100_000 if line == "nested"
+                    else valid.replace('"useful": ', '"useful": ' + "9" * 5_000))
         bad = tmp_path / "nested.jsonl"
-        bad.write_text(f"{valid}\n{'[' * 100_000}\n{valid}\n")
+        bad.write_text(f"{valid}\n{bad_line}\n{valid}\n")
         out = tmp_path / "clean.jsonl"
         rc = main(["ingest", "--input", str(bad), "--out", str(out)]
                   + ["--skip-malformed"] * skip)
@@ -571,6 +604,23 @@ class TestTrain:
                    "--out", str(out), "--two-phase"])
         assert rc == 0
         assert out.exists()
+
+    def test_non_finite_weights_are_not_saved(self, corpus_file, tmp_path, capsys):
+        """One step at a learning rate near float32's largest overflows the
+        weights after the last loss was checked: `train` must not write a
+        checkpoint that `evaluate` and `recommend` would refuse."""
+        cfg = tmp_path / "hot.cfg"
+        cfg.write_text("embed_dim = 4\nepochs = 1\nbatch_size = 256\ntext_hash_buckets = 64\n"
+                       "learning_rate = 3e38\n")
+        out = tmp_path / "m.ckpt"
+        with np.errstate(all="ignore"):  # the overflow warnings are errors under pytest
+            rc = main(["train", "--corpus", str(corpus_file), "--config", str(cfg),
+                       "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("epoch 1 rating ")
+        assert captured.err == "error: non-finite tensor rating_head.b\n"
+        assert not out.exists()
 
     def test_unknown_config_key_aborts(self, corpus_file, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -682,21 +732,22 @@ class TestEvaluate:
                      "--report", str(report), "--mnb"]) == 0
         assert "confusion.micro.support=4" in report.read_text()
 
-    @pytest.mark.parametrize("size", [10**18, 10**15, 2**63, 2**64],
-                             ids=["too-big-to-index", "no-such-memory", "2**63", "2**64"])
+    @pytest.mark.parametrize("size", [10**18, 10**15, 2**63, 2**64, MAX_SIZE + 1],
+                             ids=["too-big-to-index", "no-such-memory", "2**63", "2**64",
+                                  "past-bound"])
     def test_unallocatable_mnb_buckets_is_a_clean_error(self, size, corpus_file, tmp_path,
                                                          capsys):
+        """`train` echoes `mnb_buckets` for `evaluate --mnb`, so it refuses
+        a size past MAX_SIZE on the config's line, and writes nothing."""
         config = tmp_path / "train.cfg"
         config.write_text(f"embed_dim = 4\nepochs = 1\nmnb_buckets = {size}\n")
         ckpt = tmp_path / "model.ckpt"
-        assert main(["train", "--corpus", str(corpus_file), "--config", str(config),
-                     "--out", str(ckpt)]) == 0
-        capsys.readouterr()
-        rc = main(["evaluate", "--checkpoint", str(ckpt), "--corpus", str(corpus_file),
-                   "--report", str(tmp_path / "r.txt"), "--mnb"])
+        rc = main(["train", "--corpus", str(corpus_file), "--config", str(config),
+                   "--out", str(ckpt)])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "allocate" in err and "Traceback" not in err
+        assert capsys.readouterr() == ("", "error: line 3: bad value for mnb_buckets: "
+                                       f"mnb_buckets must be 2 to {MAX_SIZE}: {size}\n")
+        assert not ckpt.exists()
 
     def test_corrupt_checkpoint_fails_cleanly(self, checkpoint_file, corpus_file,
                                               tmp_path, capsys):
@@ -995,6 +1046,133 @@ class TestExitCodes:
         assert main(["ingest", "--input", str(bad), "--out", str(out), "--skip-malformed"]) == 0
         assert "skipped: 1" in capsys.readouterr().out
         assert out.read_text().splitlines() == [lines[0], *lines[2:]]
+
+
+def _parses_as_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+SIZE_KEYS = ("embed_dim", "text_hash_buckets", "mnb_buckets")
+# A small model trained in one step per epoch, which the drawn keys override.
+FUZZ_BASE = {"embed_dim": "4", "epochs": "1", "batch_size": "256", "text_hash_buckets": "64",
+             "mnb_buckets": "64"}
+_junk = st.text(max_size=8)
+_not_int = _junk.filter(lambda text: not _parses_as_int(text))
+_float_text = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "3e38", "5e-324", "-0.0", "1e-3", "0.5", "１"]),
+    st.floats().map(repr),
+)
+_any_value = st.one_of(st.integers().map(str), _float_text, _junk)
+# A valid value text for each owned key, drawn as often as anything else.
+FUZZ_VALID = {
+    **dict.fromkeys(SIZE_KEYS, st.integers(1, 64).map(str)),
+    "epochs": st.integers(1, 3).map(str),
+    "batch_size": st.integers(1, 200).map(str),
+    "seed": st.integers(0, 10**30).map(str),
+    **dict.fromkeys(["use_text", "use_date"], st.sampled_from(["true", "false", "1", "no"])),
+    "schedule": st.sampled_from(["joint", "two_phase"]),
+    "softmax_mode": st.sampled_from(["full_corpus", "in_batch"]),
+    "label_scale": st.sampled_from(["raw", "normalized"]),
+    **dict.fromkeys(["rating_weight", "retrieval_weight"], st.sampled_from(["0", "0.5", "2"])),
+    **dict.fromkeys(["learning_rate", "epsilon"], st.one_of(
+        st.sampled_from(["1e-3", "0.05", "3e38"]), st.floats(1.2e-38, 3.4e38).map(repr))),
+    "split_ratio": st.floats(0.01, 0.99).map(repr),
+    "eval_ks": st.lists(st.integers(1, 300), min_size=1, max_size=3).map(
+        lambda ks: ",".join(map(str, ks))),
+}
+
+
+def _config_value(key: str):
+    """Value text for `key`: valid, or anything else, except that a size
+    key is never a valid value past 64 and `epochs` never one past 3,
+    since those would only allocate or train that much more. A size key
+    may be anything past MAX_SIZE, up to 10**400."""
+    if key in SIZE_KEYS:
+        return st.one_of(FUZZ_VALID[key], st.integers(MAX_SIZE + 1, 10**400).map(str), _not_int)
+    if key == "epochs":
+        return st.one_of(FUZZ_VALID[key], st.integers(-1, 0).map(str), _not_int)
+    return st.one_of(FUZZ_VALID[key], _any_value)
+
+
+@st.composite
+def _config_texts(draw) -> str:
+    cfg = dict(FUZZ_BASE)
+    for key in draw(st.lists(st.sampled_from(sorted(OWNERS)), max_size=4, unique=True)):
+        cfg[key] = draw(_config_value(key), label=key)
+    return "".join(f"{key} = {value}\n" for key, value in cfg.items())
+
+
+def _flags(draw, flag: str, valid, max_size: int) -> list[str]:
+    values = st.lists(st.one_of(valid, _any_value), max_size=max_size)
+    return [f"{flag}={value}" for value in draw(values, label=flag)]
+
+
+def _mutated(draw, raw: bytes) -> bytes:
+    """`raw` as it is, cut short, or with one byte flipped."""
+    how = draw(st.sampled_from(["keep", "truncate", "flip"]), label="checkpoint")
+    if how == "truncate":
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    if how == "flip":
+        data = bytearray(raw)
+        data[draw(st.integers(0, len(raw) - 1))] ^= draw(st.integers(1, 255))
+        return bytes(data)
+    return raw
+
+
+def _run(argv: list[str]) -> int:
+    """`main(argv)`'s exit code: 0 or 1 returned, or 2 from argparse. Any
+    other exception escapes to fail the test, as does a traceback printed
+    on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+            assert rc in (0, 1), (argv, rc)
+        except SystemExit as exc:
+            rc = exc.code
+            assert rc == 2, (argv, rc)
+    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+    return rc
+
+
+class TestMainFuzz:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_input_exits_cleanly(self, corpus_file, checkpoint_file, tmp_path_factory, data):
+        """Drawn config text, flags and checkpoint damage through `main`:
+        every command exits 0, 1 or 2 with no traceback, a failed `train`
+        writes nothing, and a checkpoint `train` writes loads."""
+        work = tmp_path_factory.getbasetemp() / "main-fuzz"
+        work.mkdir(exist_ok=True)
+        cfg, out = work / "train.cfg", work / "model.ckpt"
+        mutated, report = work / "mutated.ckpt", work / "report.txt"
+        cfg.write_text(data.draw(_config_texts(), label="config"), encoding="utf-8")
+        out.unlink(missing_ok=True)
+        users = [json.loads(line)["user_id"] for line in corpus_file.read_text().splitlines()]
+        with np.errstate(all="ignore"):  # overflow warnings are errors under pytest
+            train = ["train", "--corpus", str(corpus_file), "--config", str(cfg),
+                     "--out", str(out)]
+            for flag in ("--rating-weight", "--retrieval-weight"):
+                train += _flags(data.draw, flag, FUZZ_VALID["rating_weight"], 1)
+            train += ["--two-phase"] * data.draw(st.booleans(), label="two-phase")
+            if _run(train) == 0:
+                _load_model(str(out))
+            else:
+                assert not out.exists()
+            base = out if out.exists() else checkpoint_file
+            mutated.write_bytes(_mutated(data.draw, base.read_bytes()))
+            evaluate = ["evaluate", "--checkpoint", str(mutated), "--corpus", str(corpus_file),
+                        "--report", str(report)]
+            evaluate += _flags(data.draw, "--k", st.integers(1, 300).map(str), 2)
+            evaluate += ["--mnb"] * data.draw(st.booleans(), label="mnb")
+            _run(evaluate)
+            user = data.draw(st.one_of(st.sampled_from(users), _junk), label="user")
+            _run(["recommend", "--checkpoint", str(mutated), f"--user-id={user}",
+                  *_flags(data.draw, "--k", st.integers(1, 300).map(str), 1)])
 
 
 class TestModuleEntryPoint:

@@ -424,11 +424,14 @@ class TestLoadCorpus:
         corpus = load_corpus(io.StringIO(line + "\n" + VALID_LINE + "\n"), skip_malformed=True)
         assert (len(corpus), corpus.skipped) == (1, 1)
 
-    @pytest.mark.parametrize("nested", ["[" * 100_000, '{"a": ' * 100_000],
-                             ids=["arrays", "objects"])
+    @pytest.mark.parametrize("nested", [
+        "[" * 100_000, '{"a": ' * 100_000,
+        VALID_LINE.replace('"useful":1', '"useful":' + "1" * 5_000),
+    ], ids=["arrays", "objects", "huge-int"])
     def test_deeply_nested_line_is_malformed(self, nested):
-        """json's decoder gives up on deep nesting with a RecursionError;
-        that line is malformed like any other."""
+        """json's decoder gives up on deep nesting with a RecursionError, and
+        on an integer of more than 4,300 digits with a ValueError; such a
+        line is malformed like any other."""
         stream = io.StringIO(VALID_LINE + "\n" + nested + "\n" + VALID_LINE + "\n")
         with pytest.raises(MalformedLine, match="line 2: unparseable line"):
             load_corpus(stream)

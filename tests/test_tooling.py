@@ -1,7 +1,7 @@
 """The repository's own tooling and docs: the pytest configuration reports
-a failing property test, the README config table and its list of each
-key's owning type match the config spec, and every per-layer benchmark
-metric names code that exists."""
+a failing property test, the README config table (with the size bound)
+and its list of each key's owning type match the config spec, and every
+per-layer benchmark metric names code that exists."""
 
 import importlib
 import json
@@ -11,6 +11,7 @@ import subprocess
 import sys
 
 from poirec.cli import _CONFIG_SPEC, config_echo, parse_config_text
+from poirec.features import MAX_SIZE
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -37,18 +38,19 @@ def test_failing_property_test_shows_its_example(tmp_path):
     assert "Falsifying example" in run.stdout
 
 
-def readme_config_table() -> dict[str, str]:
-    """Key -> default cell of the README config table; a row naming
-    several keys gives each of them the row's default."""
+def readme_config_table(column: int = 1) -> dict[str, str]:
+    """Key -> cell of the README config table in `column`, 1 the default
+    and 2 the allowed values; a row naming several keys gives each of them
+    the row's cell."""
     lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
     start = lines.index("| Key | Default | Allowed |")
     table = {}
     for line in lines[start + 2:]:
         if not line.startswith("|"):
             break
-        keys, default = line.split("|")[1:3]
-        for key in re.findall(r"`([^`]+)`", keys):
-            table[key] = default.strip().strip("`")
+        cells = line.split("|")[1:]
+        for key in re.findall(r"`([^`]+)`", cells[0]):
+            table[key] = cells[column].strip().strip("`")
     return table
 
 
@@ -57,6 +59,12 @@ def test_readme_config_table_matches_the_spec():
     assert table.keys() == _CONFIG_SPEC.keys() - {"date_min", "date_max"}
     echo = dict(line.split(" = ", 1) for line in config_echo(parse_config_text("")).splitlines())
     assert table == {key: echo[key] for key in table}
+
+
+def test_readme_gives_the_size_bound():
+    allowed = readme_config_table(column=2)
+    for key in ("embed_dim", "text_hash_buckets", "mnb_buckets"):
+        assert str(MAX_SIZE) in allowed[key], key
 
 
 def readme_config_owners() -> dict[str, tuple[str, str]]:
