@@ -354,7 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # An overflow shows as a non-finite value, which `require_finite`
+        # reports as the one `error:` line; numpy's warnings would precede it.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (
         corpus_mod.CorpusError,
         ConfigError,

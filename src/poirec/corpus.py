@@ -11,7 +11,7 @@ import datetime
 import functools
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import IO, Iterable
 
 import numpy as np
@@ -80,6 +80,28 @@ class InteractionRecord:
     @property
     def date(self) -> datetime.date:
         return date_from_days(self.date_days)
+
+
+_new = object.__new__
+_set_user_id, _set_business_id, _set_stars, _set_text, _set_date_days, _set_votes = (
+    vars(InteractionRecord)[f.name].__set__ for f in fields(InteractionRecord)
+)
+
+
+def _record(user_id: str, business_id: str, stars: int, text: str, date_days: int,
+            votes: tuple[int, int, int]) -> InteractionRecord:
+    """`InteractionRecord(...)` of these fields, filled through its slot
+    descriptors: the same frozen, hashable record at well under the cost of
+    the frozen dataclass `__init__`, which sets each field through
+    `object.__setattr__`."""
+    record = _new(InteractionRecord)
+    _set_user_id(record, user_id)
+    _set_business_id(record, business_id)
+    _set_stars(record, stars)
+    _set_text(record, text)
+    _set_date_days(record, date_days)
+    _set_votes(record, votes)
+    return record
 
 
 @dataclass(frozen=True)
@@ -219,7 +241,7 @@ def parse_record(line: str) -> InteractionRecord:
     if funny < 0 or useful < 0 or cool < 0:
         raise OutOfRange("negative vote count")
 
-    return InteractionRecord(user_id, business_id, stars, text, date_days, (funny, useful, cool))
+    return _record(user_id, business_id, stars, text, date_days, (funny, useful, cool))
 
 
 _RECORD_LINE = (

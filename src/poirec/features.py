@@ -26,6 +26,7 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Optional, Sequence, get_type_hints
 
 import numpy as np
@@ -201,15 +202,13 @@ def counts_csr(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """bucket -> count dicts as CSR (indptr, buckets, counts), int64; each
     row keeps its dict's order, and None is an empty row."""
+    rows = [row or {} for row in rows]
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    buckets: list[int] = []
-    counts: list[int] = []
-    for i, row in enumerate(rows):
-        if row:
-            buckets.extend(row)
-            counts.extend(row.values())
-        indptr[i + 1] = len(buckets)
-    return indptr, np.asarray(buckets, dtype=np.int64), np.asarray(counts, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)), out=indptr[1:])
+    nnz = int(indptr[-1])
+    buckets = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=nnz)
+    counts = np.fromiter(chain.from_iterable(row.values() for row in rows), dtype=np.int64, count=nnz)
+    return indptr, buckets, counts
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -38,13 +38,68 @@ class IndexOutOfBounds(Exception):
     pass
 
 
+class Arena(dict):
+    """Named tensors laid end to end in one flat C-contiguous buffer, in
+    `shapes` order: tensor `name` is a view of `flat[spans[name]]`."""
+
+    def __init__(self, flat: np.ndarray, shapes: Mapping[str, tuple[int, ...]]):
+        super().__init__()
+        self.flat = flat
+        self.spans: dict[str, slice] = {}
+        start = 0
+        for name, shape in shapes.items():
+            stop = start + math.prod(shape)
+            self.spans[name] = slice(start, stop)
+            self[name] = flat[start:stop].reshape(shape)
+            start = stop
+        if start != flat.size:
+            raise ValueError(f"{start} values laid out in a buffer of {flat.size}")
+
+    @classmethod
+    def zeros(cls, shapes: Mapping[str, tuple[int, ...]], dtype) -> "Arena":
+        return cls(np.zeros(sum(math.prod(s) for s in shapes.values()), dtype=dtype), shapes)
+
+    @classmethod
+    def pack(cls, tensors: Mapping[str, np.ndarray], dtype) -> "Arena":
+        """A copy of `tensors` as `dtype`, in one new buffer."""
+        arena = cls.zeros({n: t.shape for n, t in tensors.items()}, dtype)
+        for name, t in tensors.items():
+            arena[name][...] = t
+        return arena
+
+    def like(self, flat: np.ndarray) -> "Arena":
+        """This layout over another buffer of the same size."""
+        return Arena(flat, {n: t.shape for n, t in self.items()})
+
+    def select(self, names: Sequence[str]) -> "Arena":
+        """Tensors `names`, which lie end to end here, as an arena over
+        their stretch of this buffer (no copy)."""
+        [(run,)] = runs(names, self)  # more than one run is a ValueError
+        return Arena(self.flat[run], {n: self[n].shape for n in names})
+
+
+def runs(names: Iterable[str], *arenas: Arena) -> Iterator[tuple[slice, ...]]:
+    """`names` cut into maximal runs that lie end to end, in order, in every
+    arena; each run as one slice of each arena's buffer."""
+    run: list[str] = []
+    for name in names:
+        if run and any(a.spans[run[-1]].stop != a.spans[name].start for a in arenas):
+            yield tuple(slice(a.spans[run[0]].start, a.spans[run[-1]].stop) for a in arenas)
+            run = []
+        run.append(name)
+    if run:
+        yield tuple(slice(a.spans[run[0]].start, a.spans[run[-1]].stop) for a in arenas)
+
+
 @dataclass
 class ModelParams:
     """All trainable tensors, addressed by name.
 
     Names: user_table, business_table, text_table (iff use_text),
     {user,business}_tower.{0,1}.{w,b}, rating_head.{w,b},
-    retrieval_head.{user,item}.{w,b}.
+    retrieval_head.{user,item}.{w,b}. `init_params`, `astype` and `clone`
+    give an `Arena` in `param_shapes` order; a checkpoint's tensors are
+    loaded as separate arrays.
     """
 
     k: int
@@ -56,14 +111,15 @@ class ModelParams:
         return self.astype(self.dtype)
 
     def astype(self, dtype) -> "ModelParams":
-        return replace(self, tensors={n: t.astype(dtype) for n, t in self.tensors.items()})
+        return replace(self, tensors=Arena.pack(self.tensors, dtype))
 
     @property
     def dtype(self):
         return self.tensors["user_table"].dtype
 
-    def zeros_like_tensors(self) -> dict[str, np.ndarray]:
-        return {n: np.zeros(t.shape, dtype=t.dtype) for n, t in self.tensors.items()}
+    def zeros_like_tensors(self) -> Arena:
+        """A zero gradient for every tensor, in one buffer."""
+        return Arena.zeros({n: t.shape for n, t in self.tensors.items()}, self.dtype)
 
 
 def param_shapes(
@@ -96,18 +152,18 @@ def init_params(
     use_date: bool = FeatureConfig.use_date,
     text_buckets: int = FeatureConfig.text_hash_buckets,
 ) -> ModelParams:
-    """Seeded float32 init: weights/embeddings uniform +-1/sqrt(fan_in), biases
-    zero. An embedding row's fan-in is k, a weight matrix's its input width."""
+    """Seeded float32 init, in one `Arena`: weights/embeddings uniform
+    +-1/sqrt(fan_in), biases zero. An embedding row's fan-in is k, a weight
+    matrix's its input width."""
     if min(num_users, num_businesses, k) < 1:
         raise ValueError("all dimensions must be positive")
     rng = np.random.default_rng(seed)
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(num_users, num_businesses, k, use_text, text_buckets).items():
-        if name.endswith(".b"):
-            tensors[name] = np.zeros(shape, dtype=np.float32)
-        else:
+    shapes = param_shapes(num_users, num_businesses, k, use_text, text_buckets)
+    tensors = Arena.zeros(shapes, np.float32)
+    for name, shape in shapes.items():
+        if not name.endswith(".b"):
             bound = 1.0 / math.sqrt(k if name.endswith("_table") else shape[0])
-            tensors[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+            tensors[name][...] = rng.uniform(-bound, bound, size=shape)
     return ModelParams(k=k, use_text=use_text, use_date=use_date, tensors=tensors)
 
 
@@ -218,7 +274,7 @@ def _add_rows(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
     """table[rows[i]] += values[i] for each i in turn, bit for bit as a 2-D
     np.add.at does: one 1-D scatter over the flat elements gives each
     element its addends in the same order, at about a third of the cost.
-    `table` is C-contiguous (`zeros_like_tensors`), so reshape(-1) is a view."""
+    `table` is C-contiguous (an `Arena` view), so reshape(-1) is a view."""
     k = table.shape[1]
     flat = (rows[:, None] * k + np.arange(k)).reshape(-1)
     np.add.at(table.reshape(-1), flat, values.reshape(-1))

@@ -19,7 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .features import (
 )
 from .corpus import InteractionRecord
 from .model import (
+    Arena,
     CandidateBlock,
     ModelParams,
     QueryBlock,
@@ -44,6 +45,7 @@ from .model import (
     rating_predict,
     require_finite,
     retrieval_project,
+    runs,
 )
 
 
@@ -187,16 +189,18 @@ def _retrieval_head(
     """Softmax cross-entropy of each query's true candidate (row i of `q_out`
     against row true[i] of `c_out`), stabilized by max-subtraction, and its
     cache (the tower outputs, the true indices, both projections, the
-    shifted exponentials and their row sums)."""
+    shifted exponentials and their row sums). The [n, m] float64 scores
+    are shifted and exponentiated in place, and the backward turns them
+    into its gradient in place, so a cache takes one backward."""
     ur = retrieval_project(params, "user", q_out)
     vr = retrieval_project(params, "item", c_out)
     scores = (ur @ vr.T).astype(np.float64)
     if true.min() < 0 or true.max() >= scores.shape[1]:
         raise CandidateMissing("true index outside the candidate set")
-    m = scores.max(axis=1, keepdims=True)
-    exp = np.exp(scores - m)
-    z = exp.sum(axis=1, keepdims=True)
     true_scores = scores[np.arange(len(true)), true]
+    m = scores.max(axis=1, keepdims=True)
+    exp = np.exp(np.subtract(scores, m, out=scores), out=scores)
+    z = exp.sum(axis=1, keepdims=True)
     loss = float(np.mean(np.log(z[:, 0]) + m[:, 0] - true_scores))
     return loss, (q_out, c_out, true, ur, vr, exp, z)
 
@@ -259,9 +263,10 @@ def _retrieval_head_backward(
     q_out, c_out, true, ur, vr, exp, z = cache
     t = params.tensors
     n = len(z)
-    d_scores = exp / z  # softmax probabilities
+    d_scores = np.divide(exp, z, out=exp)  # softmax probabilities
     d_scores[np.arange(n), true] -= 1.0
-    d_scores = ((weight / n) * d_scores).astype(params.dtype)
+    d_scores *= weight / n
+    d_scores = d_scores.astype(params.dtype)
     d_ur = d_scores @ vr
     d_vr = d_scores.T @ ur
     grads["retrieval_head.user.w"] += q_out.T @ d_ur
@@ -272,15 +277,16 @@ def _retrieval_head_backward(
 
 
 def loss_and_gradients(
-    batch: Batch, params: ModelParams, weights: LossWeights
-) -> tuple[float, float, dict[str, np.ndarray]]:
+    batch: Batch, params: ModelParams, weights: LossWeights, grads: Optional[Arena] = None,
+) -> tuple[float, float, Arena]:
     """(rating loss, retrieval loss, gradients of the joint loss for every
-    tensor).
+    tensor), the gradients added to `grads` (zero when None) and returned.
 
     A task with zero weight is skipped entirely (its loss reads 0), so
     tensors only it touches stay at zero.
     """
-    grads = params.zeros_like_tensors()
+    if grads is None:
+        grads = params.zeros_like_tensors()
     l_rating = l_retrieval = 0.0
     if weights.rating != 0.0:
         l_rating, cache = _rating_forward(batch, params)
@@ -388,45 +394,56 @@ def reference_gradcheck(seed: int = 0, step: float = 1e-3) -> tuple[float, str, 
 
 @dataclass
 class AdagradState:
-    accumulators: dict[str, np.ndarray]
+    accumulators: Arena  # in the layout of the parameters' arena
     learning_rate: float
     epsilon: float
 
     @classmethod
     def init(cls, params: ModelParams, learning_rate: float, epsilon: float) -> "AdagradState":
-        """Every accumulator starts at 0.1."""
-        acc = {n: np.full_like(t, params.dtype.type(0.1)) for n, t in params.tensors.items()}
+        """Every accumulator starts at 0.1. Parameters held as separate
+        arrays are first packed into one arena, which `params` then holds."""
+        if not isinstance(params.tensors, Arena):
+            params.tensors = Arena.pack(params.tensors, params.dtype)
+        tensors = params.tensors
+        acc = tensors.like(np.full_like(tensors.flat, params.dtype.type(0.1)))
         return cls(accumulators=acc, learning_rate=learning_rate, epsilon=epsilon)
 
 
 def adagrad_step(
-    params: ModelParams, grads: dict[str, np.ndarray], state: AdagradState,
+    params: ModelParams, grads: Mapping[str, np.ndarray], state: AdagradState,
     rows: Optional[dict[str, np.ndarray]] = None,
 ) -> None:
     """In-place update of each tensor that `grads` names:
     acc += g^2; p -= lr * g / (sqrt(acc) + eps). Other tensors are untouched.
 
+    The update is elementwise (Duchi et al. 2011), so it runs over flat
+    buffers: one set of ufunc calls per run of tensors that lie end to end
+    in both the parameters' arena and `grads`. A gradient arena in the
+    parameters' layout, or a stretch of one, is a single run; a plain
+    mapping is first copied into an arena of the parameters' dtype.
+
     `rows` maps a tensor's name to sorted unique row indices, and only those
     rows of it are updated, by the same elementwise operations. Where every
-    row left out has a +0.0 gradient, as `zeros_like_tensors` leaves an
+    row left out has a +0.0 gradient, as a zero gradient arena leaves an
     unread row, the result is the dense step's bit for bit: there the dense
-    step adds 0 to the accumulator and subtracts 0 from the parameter
-    (Duchi et al. 2011).
+    step adds 0 to the accumulator and subtracts 0 from the parameter.
     """
     dt = params.dtype
     lr = dt.type(state.learning_rate)
     eps = dt.type(state.epsilon)
     rows = rows or {}
-    for name, g in grads.items():
-        acc, p = state.accumulators[name], params.tensors[name]
-        r = rows.get(name)
-        if r is None:
-            acc += g * g
-            p -= lr * g / (np.sqrt(acc) + eps)
-        else:
-            g = g[r]
-            acc[r] = a = acc[r] + g * g
-            p[r] -= lr * g / (np.sqrt(a) + eps)
+    if not isinstance(grads, Arena):
+        grads = Arena.pack(grads, dt)
+    tensors, acc = params.tensors, state.accumulators
+    for name in grads.keys() & rows.keys():
+        r = rows[name]
+        g = grads[name][r]
+        acc[name][r] = a = acc[name][r] + g * g
+        tensors[name][r] -= lr * g / (np.sqrt(a) + eps)
+    for run, g_run in runs((n for n in grads if n not in rows), tensors, grads):
+        g, a = grads.flat[g_run], acc.flat[run]
+        a += g * g
+        tensors.flat[run] -= lr * g / (np.sqrt(a) + eps)
 
 
 def _held_rows(batch: Batch, params: ModelParams) -> dict[str, np.ndarray]:
@@ -507,18 +524,22 @@ def _batch(inputs: TrainInputs, idx: np.ndarray, config: TrainConfig) -> Batch:
 
 def _fit(
     inputs: TrainInputs, config: TrainConfig, params: ModelParams,
-    step: Callable[[np.ndarray], tuple],
+    step: Callable[[np.ndarray, Arena], tuple],
 ) -> list[EpochTrace]:
-    """Seeded mini-batch Adagrad at `config`'s loss weights. `step(idx)`
-    takes a batch's train rows and returns its rating loss, retrieval loss,
-    the gradients of the tensors it trains, and the id-table rows to update
-    (see `adagrad_step`). Shuffling is seeded with `config.seed`, and each
-    epoch's losses average the batch losses seen before each update."""
+    """Seeded mini-batch Adagrad at `config`'s loss weights. `step(idx,
+    grads)` takes a batch's train rows and a zero gradient arena in the
+    parameters' layout; it adds its gradients there and returns its rating
+    loss, retrieval loss, the part of `grads` it trains (a stretch of it)
+    and the id-table rows to update (see `adagrad_step`). After each update
+    only what the step wrote is zeroed: those rows and the rest of its
+    stretch. Shuffling is seeded with `config.seed`, and each epoch's losses
+    average the batch losses seen before each update."""
     n = len(inputs.queries)
     if n == 0:
         raise ValueError("no training examples")
     weights = config.weights
     state = AdagradState.init(params, config.learning_rate, config.epsilon)
+    grads = params.zeros_like_tensors()
     rng = np.random.default_rng(config.seed)
     trace: list[EpochTrace] = []
     for epoch in range(1, config.epochs + 1):
@@ -526,10 +547,14 @@ def _fit(
         sums = np.zeros(2)
         batches = 0
         for start in range(0, n, config.batch_size):
-            l_rat, l_ret, grads, rows = step(order[start : start + config.batch_size])
+            l_rat, l_ret, trained, rows = step(order[start : start + config.batch_size], grads)
             joint = weights.rating * l_rat + weights.retrieval * l_ret
             require_finite(joint, f"loss at epoch {epoch}")
-            adagrad_step(params, grads, state, rows)
+            adagrad_step(params, trained, state, rows)
+            for name, r in rows.items():
+                trained[name][r] = 0.0
+            for (run,) in runs((n for n in trained if n not in rows), trained):
+                trained.flat[run] = 0.0
             sums += (l_rat, l_ret)
             batches += 1
         mean_rat, mean_ret = sums / batches
@@ -555,9 +580,10 @@ def train(
         text_buckets=space.config.text_hash_buckets,
     )
 
-    def step(idx):
+    def step(idx, grads):
         batch = _batch(inputs, idx, config)
-        return (*loss_and_gradients(batch, params, config.weights), _held_rows(batch, params))
+        return (*loss_and_gradients(batch, params, config.weights, grads),
+                _held_rows(batch, params))
 
     return params, _fit(inputs, config, params, step)
 
@@ -617,17 +643,18 @@ def two_phase_train(
     pair_business = np.fromiter((c.business_index for c in inputs.candidates), dtype=np.int64,
                                 count=len(inputs.candidates))
 
-    def head_step(idx):
-        """Only the retrieval head runs and gets gradients (the rating task
-        is off, so its loss reads 0), and no id-table row is updated."""
+    def head_step(idx, grads):
+        """Only the retrieval head runs and gets gradients, in the arena's
+        tail (the rating task is off, so its loss reads 0), and no id-table
+        row is updated."""
         if config.softmax_mode == "in_batch":
             c_out, true = cand_out[idx], np.arange(len(idx))
         else:
             c_out, true = cand_out, pair_business[idx]
         loss, cache = _retrieval_head(params, user_out[idx], c_out, true)
-        grads = {n: np.zeros_like(params.tensors[n]) for n in RETRIEVAL_HEAD_TENSORS}
-        _retrieval_head_backward(params, cache, phase2.weights.retrieval, grads)
-        return 0.0, loss, grads, None
+        head = grads.select(RETRIEVAL_HEAD_TENSORS)
+        _retrieval_head_backward(params, cache, phase2.weights.retrieval, head)
+        return 0.0, loss, head, {}
 
     trace2 = _fit(inputs, phase2, params, head_step)
     return TwoPhaseResult(params=params, phase1_params=phase1, trace=trace1 + trace2)

@@ -613,14 +613,29 @@ class TestTrain:
         cfg.write_text("embed_dim = 4\nepochs = 1\nbatch_size = 256\ntext_hash_buckets = 64\n"
                        "learning_rate = 3e38\n")
         out = tmp_path / "m.ckpt"
-        with np.errstate(all="ignore"):  # the overflow warnings are errors under pytest
-            rc = main(["train", "--corpus", str(corpus_file), "--config", str(cfg),
-                       "--out", str(out)])
+        rc = main(["train", "--corpus", str(corpus_file), "--config", str(cfg),
+                   "--out", str(out)])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out.startswith("epoch 1 rating ")
         assert captured.err == "error: non-finite tensor rating_head.b\n"
         assert not out.exists()
+
+    def test_an_overflow_prints_only_the_error_line(self, corpus_file, tmp_path):
+        """Run as a program, with Python's default warning filters, the
+        overflowing train writes the one `error:` line to stderr and no
+        numpy RuntimeWarning before it."""
+        cfg = tmp_path / "hot.cfg"
+        cfg.write_text("embed_dim = 4\nepochs = 1\nbatch_size = 256\ntext_hash_buckets = 64\n"
+                       "learning_rate = 3e38\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "poirec", "train", "--corpus", str(corpus_file),
+             "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: non-finite tensor rating_head.b\n"
 
     def test_unknown_config_key_aborts(self, corpus_file, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -1153,26 +1168,25 @@ class TestMainFuzz:
         cfg.write_text(data.draw(_config_texts(), label="config"), encoding="utf-8")
         out.unlink(missing_ok=True)
         users = [json.loads(line)["user_id"] for line in corpus_file.read_text().splitlines()]
-        with np.errstate(all="ignore"):  # overflow warnings are errors under pytest
-            train = ["train", "--corpus", str(corpus_file), "--config", str(cfg),
-                     "--out", str(out)]
-            for flag in ("--rating-weight", "--retrieval-weight"):
-                train += _flags(data.draw, flag, FUZZ_VALID["rating_weight"], 1)
-            train += ["--two-phase"] * data.draw(st.booleans(), label="two-phase")
-            if _run(train) == 0:
-                _load_model(str(out))
-            else:
-                assert not out.exists()
-            base = out if out.exists() else checkpoint_file
-            mutated.write_bytes(_mutated(data.draw, base.read_bytes()))
-            evaluate = ["evaluate", "--checkpoint", str(mutated), "--corpus", str(corpus_file),
-                        "--report", str(report)]
-            evaluate += _flags(data.draw, "--k", st.integers(1, 300).map(str), 2)
-            evaluate += ["--mnb"] * data.draw(st.booleans(), label="mnb")
-            _run(evaluate)
-            user = data.draw(st.one_of(st.sampled_from(users), _junk), label="user")
-            _run(["recommend", "--checkpoint", str(mutated), f"--user-id={user}",
-                  *_flags(data.draw, "--k", st.integers(1, 300).map(str), 1)])
+        train = ["train", "--corpus", str(corpus_file), "--config", str(cfg),
+                 "--out", str(out)]
+        for flag in ("--rating-weight", "--retrieval-weight"):
+            train += _flags(data.draw, flag, FUZZ_VALID["rating_weight"], 1)
+        train += ["--two-phase"] * data.draw(st.booleans(), label="two-phase")
+        if _run(train) == 0:
+            _load_model(str(out))
+        else:
+            assert not out.exists()
+        base = out if out.exists() else checkpoint_file
+        mutated.write_bytes(_mutated(data.draw, base.read_bytes()))
+        evaluate = ["evaluate", "--checkpoint", str(mutated), "--corpus", str(corpus_file),
+                    "--report", str(report)]
+        evaluate += _flags(data.draw, "--k", st.integers(1, 300).map(str), 2)
+        evaluate += ["--mnb"] * data.draw(st.booleans(), label="mnb")
+        _run(evaluate)
+        user = data.draw(st.one_of(st.sampled_from(users), _junk), label="user")
+        _run(["recommend", "--checkpoint", str(mutated), f"--user-id={user}",
+              *_flags(data.draw, "--k", st.integers(1, 300).map(str), 1)])
 
 
 class TestModuleEntryPoint:

@@ -1,5 +1,6 @@
 """Ingestion, temporal split, and corpus statistics."""
 
+import dataclasses
 import datetime
 import io
 import json
@@ -130,6 +131,26 @@ class TestParseRecord:
             date_days=day, votes=votes,
         )
         assert parse_record(serialize_record(record)) == record
+
+
+class TestRecordConstructor:
+    @given(user_id=st.text(min_size=1), business_id=st.text(min_size=1),
+           stars=st.integers(1, 5), text=st.text(), date_days=st.integers(-10**6, 10**6),
+           votes=st.tuples(st.integers(0, 10**9), st.integers(0, 10**9), st.integers(0, 10**9)))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_dataclass_constructor(self, user_id, business_id, stars, text,
+                                              date_days, votes):
+        """The record `parse_record` builds through the slot descriptors is
+        the dataclass constructor's: equal, equally hashed, still frozen and
+        slotted, and `dataclasses.replace` still builds from it."""
+        fields = (user_id, business_id, stars, text, date_days, votes)
+        got, want = corpus_mod._record(*fields), InteractionRecord(*fields)
+        assert type(got) is InteractionRecord
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert not hasattr(got, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got.stars = 1
+        assert dataclasses.replace(got, stars=1) == dataclasses.replace(want, stars=1)
 
 
 def _oracle_serialize_record(record: InteractionRecord) -> str:

@@ -18,6 +18,7 @@ from poirec.features import (
     Vocabulary,
     aggregate_candidates,
     build_vocabularies,
+    counts_csr,
     encode_candidate,
     encode_date,
     encode_dates,
@@ -344,3 +345,28 @@ class TestEncoders:
         cafe_idx = space.business_vocab.lookup("cafe")
         assert dict(agg[cafe_idx].text_counts) == text_bucket_counts("great coffee", 64)
         assert agg[0].text_counts == {}  # OOV row carries no text
+
+
+def _loop_counts_csr(rows):
+    """counts_csr the long way: one extend per row and one indptr store per
+    row."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    buckets, counts = [], []
+    for i, row in enumerate(rows):
+        if row:
+            buckets.extend(row)
+            counts.extend(row.values())
+        indptr[i + 1] = len(buckets)
+    return indptr, np.asarray(buckets, dtype=np.int64), np.asarray(counts, dtype=np.int64)
+
+
+class TestCountsCSR:
+    @given(st.lists(st.one_of(st.none(), st.dictionaries(st.integers(0, 2**40),
+                                                         st.integers(-(2**40), 2**40)))))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_per_row_loop(self, rows):
+        """Same arrays, dtypes and bytes as the per-row loop, in each dict's
+        own order; None and {} are empty rows."""
+        for got, want in zip(counts_csr(rows), _loop_counts_csr(rows)):
+            assert got.dtype == want.dtype == np.int64
+            assert got.tobytes() == want.tobytes()

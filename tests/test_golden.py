@@ -15,7 +15,8 @@ no digest.
 
 Entries are keyed by numpy version, BLAS name and machine; an environment
 with no entry skips and names its tag. A change that means to change output
-bits rewrites this environment's entry and says why:
+bits rewrites this environment's entry and says why; the command prints
+each digest that changed, old -> new:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -190,14 +191,39 @@ def test_hash_seed_does_not_change_the_checkpoint(train_in):
     assert zero == train_in(OPENBLAS_NUM_THREADS="1", PYTHONHASHSEED="12345")
 
 
+def changes(old: dict[str, dict[str, str]], new: dict[str, dict[str, str]]) -> list[str]:
+    """One line per digest that differs between two entries, as
+    `config / output: old -> new` (12 hex digits each; `-` for none)."""
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        was, now = old.get(name, {}), new.get(name, {})
+        for what in sorted(was.keys() | now.keys()):
+            if was.get(what) != now.get(what):
+                before, after = (d[what][:12] if what in d else "-" for d in (was, now))
+                lines.append(f"{name} / {what}: {before} -> {after}")
+    return lines
+
+
+def test_changes_name_each_moved_digest():
+    old = {"a": {"checkpoint": "1" * 64, "report": "2" * 64}, "gone": {"report": "3" * 64}}
+    new = {"a": {"checkpoint": "1" * 64, "report": "4" * 64}, "added": {"report": "5" * 64}}
+    assert changes(old, new) == [f"a / report: {'2' * 12} -> {'4' * 12}",
+                                 f"added / report: - -> {'5' * 12}",
+                                 f"gone / report: {'3' * 12} -> -"]
+    assert changes(new, new) == []
+
+
 def write_entry(workdir: str) -> str:
-    """Rewrite this environment's entry of `tests/golden.json`."""
+    """Rewrite this environment's entry of `tests/golden.json`, printing
+    each digest that changed."""
     tag = environment_tag()
     golden = load_golden() if os.path.exists(GOLDEN) else {}
     entries = {}
     for workload in CONFIGS:
         os.makedirs(sub := os.path.join(workdir, workload.name))
         entries[workload.name] = digests(workload, sub)
+    for line in changes(golden.get(tag, {}), entries) or ["no digest changed"]:
+        print(line)
     golden[tag] = entries
     with open(GOLDEN, "w", encoding="utf-8") as f:
         json.dump(golden, f, indent=1, sort_keys=True)

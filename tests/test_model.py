@@ -18,6 +18,7 @@ from poirec.features import (
 from poirec.model import (
     DATE_DIM,
     _add_rows,
+    Arena,
     CandidateBlock,
     ModelParams,
     QueryBlock,
@@ -25,6 +26,7 @@ from poirec.model import (
     forward_users,
     init_params,
     location_encode,
+    param_shapes,
     pooled_text,
     score,
     score_all,
@@ -55,6 +57,35 @@ class TestInitParams:
         for name, t in params.tensors.items():
             if name.endswith(".b"):
                 assert np.all(t == 0.0)
+
+    @pytest.mark.parametrize("use_text", [True, False])
+    def test_every_tensor_is_a_view_of_one_buffer(self, use_text):
+        """The tensors lie end to end in one float32 buffer, in
+        `param_shapes` order, and `astype` and `clone` keep that layout."""
+        params = tiny_params(use_text=use_text)
+        for p in (params, params.astype(np.float64), params.clone()):
+            t = p.tensors
+            assert isinstance(t, Arena) and t.flat.flags.c_contiguous and t.flat.ndim == 1
+            assert list(t) == list(param_shapes(6, 5, 4, use_text, 16))
+            start = 0
+            for name, view in t.items():
+                assert view.base is t.flat and view.flags.c_contiguous, name
+                assert view.__array_interface__["data"][0] == (
+                    t.flat.__array_interface__["data"][0] + start * t.flat.itemsize), name
+                start += view.size
+            assert start == t.flat.size
+            for name, view in params.tensors.items():
+                assert np.array_equal(t[name], view.astype(p.dtype)), name
+
+    def test_select_is_a_view_of_a_stretch(self):
+        params = tiny_params()
+        names = ["rating_head.w", "rating_head.b", "retrieval_head.user.w"]
+        sub = params.tensors.select(names)
+        assert list(sub) == names and np.shares_memory(sub.flat, params.tensors.flat)
+        sub.flat[:] = 7.0
+        assert all((params.tensors[n] == 7.0).all() for n in names)
+        with pytest.raises(ValueError):
+            params.tensors.select(["user_table", "rating_head.w"])
 
     def test_uniform_law_statistics(self):
         params = init_params(seed=1, num_users=500, num_businesses=500, k=32)

@@ -20,7 +20,14 @@ from poirec.features import (
     encode_candidate,
     encode_query,
 )
-from poirec.model import CandidateBlock, ModelParams, TowerCache, init_params
+from poirec.model import (
+    Arena,
+    CandidateBlock,
+    ModelParams,
+    TowerCache,
+    init_params,
+    param_shapes,
+)
 from poirec.training import (
     RETRIEVAL_HEAD_TENSORS,
     AdagradState,
@@ -281,6 +288,66 @@ class TestAdagrad:
             deltas.append(abs(params.tensors["user_table"][0] - prev))
             prev = params.tensors["user_table"][0]
         assert all(a > b for a, b in zip(deltas, deltas[1:]))
+
+
+def per_tensor_adagrad(tensors, accumulators, grads, state, rows):
+    """adagrad_step the long way, tensor by tensor over separate arrays."""
+    dt = next(iter(tensors.values())).dtype
+    lr, eps = dt.type(state.learning_rate), dt.type(state.epsilon)
+    for name, g in grads.items():
+        acc, p = accumulators[name], tensors[name]
+        r = rows.get(name)
+        if r is None:
+            acc += g * g
+            p -= lr * g / (np.sqrt(acc) + eps)
+        else:
+            g = g[r]
+            acc[r] = a = acc[r] + g * g
+            p[r] -= lr * g / (np.sqrt(a) + eps)
+
+
+_PARAM_NAMES = list(param_shapes(5, 4, 3, True, 8))
+
+
+class TestArenaAdagrad:
+    @given(dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1),
+           steps=st.lists(st.tuples(st.lists(st.sampled_from(_PARAM_NAMES), unique=True),
+                                    st.sets(st.integers(0, 4)), st.booleans()),
+                          min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_per_tensor_update(self, dtype, seed, steps):
+        """Over the arena, each step gives the per-tensor loop's parameter and
+        accumulator bytes: for a partial plain dict of gradients in any name
+        order, with or without held table rows, and for the whole gradient
+        arena."""
+        rng = np.random.default_rng(seed)
+        params = init_params(seed % 1000, num_users=5, num_businesses=4, k=3, use_text=True,
+                             text_buckets=8).astype(dtype)
+        state = AdagradState.init(params, learning_rate=0.3, epsilon=1e-7)
+        tensors = {n: t.copy() for n, t in params.tensors.items()}
+        accumulators = {n: a.copy() for n, a in state.accumulators.items()}
+        for names, held, whole_arena in steps:
+            grads = params.zeros_like_tensors()
+            for name in names:
+                grads[name][...] = rng.normal(size=grads[name].shape) * 10.0 ** rng.integers(-3, 3)
+            rows = {n: np.array(sorted(r for r in held if r < len(tensors[n])), dtype=np.int64)
+                    for n in ("user_table", "business_table") if held}
+            given_grads = grads if whole_arena else {n: grads[n].copy() for n in names}
+            per_tensor_adagrad(tensors, accumulators, {n: given_grads[n] for n in given_grads},
+                               state, rows)
+            adagrad_step(params, given_grads, state, rows)
+            for name in tensors:
+                assert params.tensors[name].tobytes() == tensors[name].tobytes(), name
+                assert state.accumulators[name].tobytes() == accumulators[name].tobytes(), name
+
+    def test_separate_arrays_are_packed_into_one_arena(self):
+        params = ModelParams(k=1, use_text=False, use_date=False, tensors={
+            "user_table": np.ones((2, 1)), "rating_head.w": np.ones((1, 1))})
+        state = AdagradState.init(params, learning_rate=0.5, epsilon=1e-7)
+        for arena in (params.tensors, state.accumulators):
+            assert isinstance(arena, Arena) and list(arena) == ["user_table", "rating_head.w"]
+        adagrad_step(params, {"rating_head.w": np.full((1, 1), 3.0)}, state)
+        assert params.tensors.flat.tolist() == [1.0, 1.0, 1.0 - 1.5 / (math.sqrt(9.1) + 1e-7)]
 
 
 def row_sparse_case(dtype, table_rows, listed, zero_listed, seed):
@@ -568,6 +635,26 @@ class TestTrainLoop:
         assert got.tensors.keys() == want.tensors.keys()
         for name, t in want.tensors.items():
             assert got.tensors[name].dtype == t.dtype
+            assert got.tensors[name].tobytes() == t.tobytes(), name
+
+    @pytest.mark.parametrize("mode", ["in_batch", "full_corpus"])
+    def test_one_reused_gradient_arena_equals_fresh_zeros(self, mode, monkeypatch):
+        """`train` hands every step the same gradient arena and zeroes what
+        the step wrote after each update; that gives the tensor bytes and
+        epoch lines of fresh zero gradients every step."""
+        inputs, space = texted_inputs(True)
+        cfg = TrainConfig(batch_size=7, epochs=2, seed=2, embed_dim=4, learning_rate=0.1,
+                          softmax_mode=mode)
+        real = training.loss_and_gradients
+        arenas = []
+        monkeypatch.setattr(training, "loss_and_gradients", lambda b, p, w, grads=None:
+                            arenas.append(grads) or real(b, p, w, grads))
+        got, trace = train(inputs, space, cfg)
+        assert isinstance(arenas[0], Arena) and all(g is arenas[0] for g in arenas)
+        assert len(arenas) == cfg.epochs * math.ceil(len(inputs.labels) / cfg.batch_size)
+        want = fresh_params(space, cfg)
+        assert [e.line() for e in trace] == dense_adagrad_fit(inputs, cfg, want, real)
+        for name, t in want.tensors.items():
             assert got.tensors[name].tobytes() == t.tobytes(), name
 
     def test_two_phase_freezes_everything_but_retrieval_heads(self):
