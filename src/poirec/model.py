@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -66,10 +67,6 @@ class Arena(dict):
         for name, t in tensors.items():
             arena[name][...] = t
         return arena
-
-    def like(self, flat: np.ndarray) -> "Arena":
-        """This layout over another buffer of the same size."""
-        return Arena(flat, {n: t.shape for n, t in self.items()})
 
     def select(self, names: Sequence[str]) -> "Arena":
         """Tensors `names`, which lie end to end here, as an arena over
@@ -209,6 +206,10 @@ class QueryBlock:
         return QueryBlock(user_idx=self.user_idx[idx], date=self.date[idx])
 
 
+_business_index = attrgetter("business_index")
+_text_counts = attrgetter("text_counts")
+
+
 @dataclass
 class CandidateBlock:
     """CSR-style layout of sparse per-candidate text counts.
@@ -225,10 +226,9 @@ class CandidateBlock:
 
     @classmethod
     def from_features(cls, candidates: Sequence[CandidateFeatures]) -> "CandidateBlock":
-        business_idx = np.fromiter(
-            (c.business_index for c in candidates), dtype=np.int64, count=len(candidates)
-        )
-        indptr, buckets, counts = counts_csr([c.text_counts for c in candidates])
+        business_idx = np.fromiter(map(_business_index, candidates), dtype=np.int64,
+                                   count=len(candidates))
+        indptr, buckets, counts = counts_csr(list(map(_text_counts, candidates)))
         return cls(business_idx, indptr, buckets, counts.astype(np.float64))
 
     @classmethod

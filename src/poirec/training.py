@@ -4,9 +4,11 @@ Rating loss is the mean squared error of the calibrated rating prediction;
 retrieval loss is softmax cross-entropy of the true candidate against a
 candidate set, stabilized by max-subtraction. The joint objective is the
 weighted sum of the two. The loss functions and the hand-written backprop
-share one forward per task, and below the heads each tower's forward
-record runs its own backward; gradients are verified against central
-finite differences in float64. Phase 2 of the two-phase schedule runs
+share one forward per task. Below the heads, the gradients both heads give
+one block's tower output are added, and that block's tower record runs its
+own backward once; gradients are verified against central finite
+differences in float64. Adagrad updates the parameters' arena from one
+gradient arena per training run. Phase 2 of the two-phase schedule runs
 each tower once over the train reviews, in `batch_size` chunks, and then
 trains the retrieval head alone on those outputs: 2·n·k float32 values
 for n train reviews under the in-batch softmax, n·k plus the corpus rows'
@@ -170,7 +172,8 @@ class Batch:
 
 
 # ---------------------------------------------------------------------------
-# One forward and one backward per task; each forward runs its own towers.
+# One forward per task, each running its own towers; one tower backward per
+# distinct block.
 # ---------------------------------------------------------------------------
 
 
@@ -243,15 +246,18 @@ def joint_loss(batch: Batch, params: ModelParams, weights: LossWeights) -> float
     return total
 
 
-def _rating_backward(params: ModelParams, cache: tuple, weight: float, grads: dict) -> None:
-    """Add `weight` times the rating loss gradient to `grads`."""
+def _rating_head_backward(
+    params: ModelParams, cache: tuple, weight: float, grads: dict
+) -> tuple[np.ndarray, np.ndarray]:
+    """Add `weight` times the rating loss gradient of the rating head to
+    `grads`, from `_rating_forward`'s cache; return the gradients w.r.t. the
+    user and pair-candidate tower outputs."""
     q, c, diff = cache
     d_pred = (weight * 2.0 / len(diff)) * diff.astype(params.dtype)  # [n]
     grads["rating_head.w"] += (q.out * c.out).T @ d_pred[:, None]
     grads["rating_head.b"] += np.array([d_pred.sum()], dtype=params.dtype)
     d_uv = d_pred[:, None] * params.tensors["rating_head.w"][:, 0][None, :]
-    q.backward(params, d_uv * c.out, grads)
-    c.backward(params, d_uv * q.out, grads)
+    return d_uv * c.out, d_uv * q.out
 
 
 def _retrieval_head_backward(
@@ -283,19 +289,35 @@ def loss_and_gradients(
     tensor), the gradients added to `grads` (zero when None) and returned.
 
     A task with zero weight is skipped entirely (its loss reads 0), so
-    tensors only it touches stay at zero.
+    tensors only it touches stay at zero. Each head adds its gradient w.r.t.
+    the tower outputs of a block to what the other head gave the same block
+    (the same object), and each distinct block's tower then runs backward
+    once: 2 backwards for an in-batch joint step, whose softmax set is its
+    pair block, and 3 for a full-corpus one.
     """
     if grads is None:
         grads = params.zeros_like_tensors()
     l_rating = l_retrieval = 0.0
+    d_out: dict[int, list] = {}  # id(block) -> [its tower cache, d loss / d output]
+
+    def add(block, cache, d):
+        if id(block) in d_out:
+            d_out[id(block)][1] += d
+        else:
+            d_out[id(block)] = [cache, d]
+
     if weights.rating != 0.0:
         l_rating, cache = _rating_forward(batch, params)
-        _rating_backward(params, cache, weights.rating, grads)
+        d_q, d_c = _rating_head_backward(params, cache, weights.rating, grads)
+        add(batch.query_block, cache[0], d_q)
+        add(batch.pair_block, cache[1], d_c)
     if weights.retrieval != 0.0:
         l_retrieval, (q, c, head) = _retrieval_forward(batch, params)
         d_u, d_v = _retrieval_head_backward(params, head, weights.retrieval, grads)
-        q.backward(params, d_u, grads)
-        c.backward(params, d_v, grads)
+        add(batch.query_block, q, d_u)
+        add(batch.softmax_block, c, d_v)
+    for cache, d in d_out.values():
+        cache.backward(params, d, grads)
     return l_rating, l_retrieval, grads
 
 
@@ -405,7 +427,8 @@ class AdagradState:
         if not isinstance(params.tensors, Arena):
             params.tensors = Arena.pack(params.tensors, params.dtype)
         tensors = params.tensors
-        acc = tensors.like(np.full_like(tensors.flat, params.dtype.type(0.1)))
+        acc = Arena(np.full_like(tensors.flat, params.dtype.type(0.1)),
+                    {n: t.shape for n, t in tensors.items()})
         return cls(accumulators=acc, learning_rate=learning_rate, epsilon=epsilon)
 
 
@@ -435,7 +458,7 @@ def adagrad_step(
     if not isinstance(grads, Arena):
         grads = Arena.pack(grads, dt)
     tensors, acc = params.tensors, state.accumulators
-    for name in grads.keys() & rows.keys():
+    for name in (n for n in grads if n in rows):
         r = rows[name]
         g = grads[name][r]
         acc[name][r] = a = acc[name][r] + g * g
@@ -515,7 +538,7 @@ class TrainInputs:
 def _batch(inputs: TrainInputs, idx: np.ndarray, config: TrainConfig) -> Batch:
     """Train rows `idx` as a batch of `config`'s softmax mode."""
     queries = inputs.queries.take(idx)
-    cands = [inputs.candidates[i] for i in idx]
+    cands = list(map(inputs.candidates.__getitem__, idx.tolist()))
     labels = inputs.labels[idx]
     if config.softmax_mode == "full_corpus":
         return Batch.full_corpus(queries, cands, labels, inputs.corpus_block)

@@ -333,8 +333,7 @@ class TestArenaAdagrad:
             rows = {n: np.array(sorted(r for r in held if r < len(tensors[n])), dtype=np.int64)
                     for n in ("user_table", "business_table") if held}
             given_grads = grads if whole_arena else {n: grads[n].copy() for n in names}
-            per_tensor_adagrad(tensors, accumulators, {n: given_grads[n] for n in given_grads},
-                               state, rows)
+            per_tensor_adagrad(tensors, accumulators, given_grads, state, rows)
             adagrad_step(params, given_grads, state, rows)
             for name in tensors:
                 assert params.tensors[name].tobytes() == tensors[name].tobytes(), name
@@ -486,6 +485,13 @@ def texted_inputs(use_text):
     return TrainInputs.from_records(records, space), space
 
 
+def training_batch(inputs, idx, mode):
+    """Train rows `idx` as a batch of softmax mode `mode`, as `_batch` builds it."""
+    args = (inputs.queries.take(idx), [inputs.candidates[i] for i in idx], inputs.labels[idx])
+    return (Batch.in_batch(*args) if mode == "in_batch"
+            else Batch.full_corpus(*args, inputs.corpus_block))
+
+
 class TestHeldRows:
     @given(use_text=st.booleans(), mode=st.sampled_from(["in_batch", "full_corpus"]),
            weights=st.sampled_from([(1.0, 0.0), (0.0, 1.0), (0.5, 0.5)]),
@@ -496,16 +502,81 @@ class TestHeldRows:
         """A small batch built as training builds it gives a nonzero
         gradient entry to no id-table row outside its held rows."""
         inputs, space = texted_inputs(use_text)
-        idx = np.array(picks)
-        args = (inputs.queries.take(idx), [inputs.candidates[i] for i in idx], inputs.labels[idx])
-        batch = (Batch.in_batch(*args) if mode == "in_batch"
-                 else Batch.full_corpus(*args, inputs.corpus_block))
+        batch = training_batch(inputs, np.array(picks), mode)
         params = fresh_params(space, TrainConfig(seed=seed, embed_dim=4))
         grads = gradients(batch, params, LossWeights(*weights))
         held = _held_rows(batch, params)
         for name in ("user_table", "business_table"):
             touched = np.flatnonzero(np.any(grads[name] != 0.0, axis=1))
             assert np.isin(touched, held[name]).all(), name
+
+
+def two_pass_gradients(batch, params, weights):
+    """loss_and_gradients with a tower backward per task and block: each
+    task's head gradients go back through the towers of its own forward."""
+    grads = params.zeros_like_tensors()
+    if weights.rating != 0.0:
+        _, cache = training._rating_forward(batch, params)
+        d_q, d_c = training._rating_head_backward(params, cache, weights.rating, grads)
+        cache[0].backward(params, d_q, grads)
+        cache[1].backward(params, d_c, grads)
+    if weights.retrieval != 0.0:
+        _, (q, c, head) = training._retrieval_forward(batch, params)
+        d_u, d_v = training._retrieval_head_backward(params, head, weights.retrieval, grads)
+        q.backward(params, d_u, grads)
+        c.backward(params, d_v, grads)
+    return grads
+
+
+class TestSharedTowerBackward:
+    @pytest.mark.parametrize("weights", [(1.0, 0.0), (0.0, 1.0), (0.5, 0.5)])
+    @pytest.mark.parametrize("mode", ["in_batch", "full_corpus"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_two_pass_gradients(self, mode, weights, seed):
+        """One backward per distinct block gives the per-task backwards'
+        gradients: to float32 rounding when both tasks train (the sums
+        change order), and bit for bit when one does."""
+        inputs, space = texted_inputs(True)
+        idx = np.random.default_rng(seed).choice(len(inputs.labels), size=16, replace=False)
+        batch = training_batch(inputs, idx, mode)
+        params = fresh_params(space, TrainConfig(seed=seed, embed_dim=4))
+        got = gradients(batch, params, LossWeights(*weights))
+        want = two_pass_gradients(batch, params, LossWeights(*weights))
+        assert got.keys() == want.keys()
+        for name, g in want.items():
+            if 0.0 in weights:
+                assert got[name].tobytes() == g.tobytes(), name
+            else:
+                scale = float(np.abs(g).max())
+                np.testing.assert_allclose(got[name], g, rtol=1e-5, atol=1e-6 * scale,
+                                           err_msg=name)
+
+    @pytest.mark.parametrize("mode, weights, backwards, forwards", [
+        ("in_batch", (0.5, 0.5), 2, 4),
+        ("full_corpus", (0.5, 0.5), 3, 4),
+        ("in_batch", (1.0, 0.0), 2, 2),
+        ("full_corpus", (1.0, 0.0), 2, 2),
+        ("full_corpus", (0.0, 1.0), 2, 2),
+    ])
+    def test_tower_passes_per_step(self, mode, weights, backwards, forwards, monkeypatch):
+        """Each distinct block's tower runs backward once a step: queries and
+        pairs in-batch, where the softmax set is the pair block, and the
+        corpus block as well under the full-corpus softmax. Each task still
+        runs its own two tower forwards."""
+        inputs, space = texted_inputs(True)
+        cfg = TrainConfig(batch_size=20, epochs=1, seed=0, embed_dim=4, softmax_mode=mode,
+                          weights=LossWeights(*weights))
+        calls = Counter()
+
+        def counted(key, real):
+            return lambda *a: calls.update([key]) or real(*a)
+
+        monkeypatch.setattr(TowerCache, "backward", counted("backward", TowerCache.backward))
+        for name in ("forward_users", "forward_candidates"):
+            monkeypatch.setattr(training, name, counted("forward", getattr(training, name)))
+        train(inputs, space, cfg)
+        steps = math.ceil(len(inputs.labels) / cfg.batch_size)
+        assert calls == {"backward": backwards * steps, "forward": forwards * steps}
 
 
 class TestTrainLoop:
