@@ -576,7 +576,7 @@ def _fit(
             adagrad_step(params, trained, state, rows)
             for name, r in rows.items():
                 trained[name][r] = 0.0
-            for (run,) in runs((n for n in trained if n not in rows), trained):
+            for (run,) in runs((name for name in trained if name not in rows), trained):
                 trained.flat[run] = 0.0
             sums += (l_rat, l_ret)
             batches += 1
